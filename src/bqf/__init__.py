@@ -19,9 +19,11 @@ Subpackages, one concern each:
   approximations.
 - cli: the `bqf` command-line front end.
 
-All core arithmetic is exact (fractions.Fraction, Gaussian rationals);
-binary64 enters only in the measure module's root-finding and convergence
-tables and is always labeled as such in serialized output.
+All core arithmetic is exact (fractions.Fraction, Gaussian rationals).
+binary64 enters only in the measure module's root-finding and atom data,
+and in the final rounding of exact results for its tables (convergence
+and trace approximations are exact for every n up to that one rounding);
+it is always labeled as such in serialized output.
 """
 
 __version__ = "0.1.0"

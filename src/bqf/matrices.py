@@ -25,23 +25,16 @@ from .rationals import parse_rational
 from .series import FormalSeries
 
 
-def _scalar(x):
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational (or, in fallback mode, binary64)
-    real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts."""
 
-    re: object
-    im: object
+    re: Fraction
+    im: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _scalar(re))
-        object.__setattr__(self, "im", _scalar(im))
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -155,7 +148,7 @@ def matrix_add(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 def matrix_scale(a: HermitianMatrix, c) -> HermitianMatrix:
     """Scale by a real scalar (a complex one would break self-adjointness)."""
-    c = _scalar(c)
+    c = Fraction(c)
     return HermitianMatrix([[e * c for e in row] for row in a.entries])
 
 
@@ -203,14 +196,8 @@ def _matmul(x, y, n: int):
 
 
 def _require_real(value: GaussianRational, what: str):
-    im = value.im
-    if isinstance(im, float):
-        scale = 1.0 + abs(float(value.re))
-        if abs(im) > 1e-9 * scale:
-            raise AssertionError(f"{what} should be real, got imaginary part {im}")
-        return value.re
-    if im != 0:
-        raise AssertionError(f"{what} should be real, got imaginary part {im}")
+    if value.im:
+        raise AssertionError(f"{what} should be real, got imaginary part {value.im}")
     return value.re
 
 
@@ -582,11 +569,17 @@ def matrix_from_json_obj(obj) -> HermitianMatrix:
 
 
 def load_matrix(path) -> HermitianMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    """Read a matrix file.  A missing file raises FileNotFoundError; any
+    other read, decode or parse failure raises DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"matrix file {path} cannot be read: {exc}") from exc
     return matrix_from_json_obj(obj)
 
 

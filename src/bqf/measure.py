@@ -7,6 +7,11 @@ evaluations, moment cross-checks between the atoms and the exact moment
 series, convergence tables for finite models against the limit cumulants,
 and the trace approximations of zeta values, tangent numbers and zigzag
 numbers.  Atom data is binary64; everything upstream of it stays exact.
+
+The finite models never form an n x n matrix.  Every quantity they need is
+a trace Tr(P M^m) with M = aP + bB, read exactly off limit_mgf_series for
+any n; the convergence model's K_r is Tr(P S^r) with S = M - (a/n)I, a
+binomial sum of those traces.  Both are exact for every n and rounded once.
 """
 
 import math
@@ -22,19 +27,11 @@ from .errors import (
     DomainError,
     PoleProximityError,
 )
-from .matrices import (
-    GaussianRational,
-    HermitianMatrix,
-    build_special,
-    matrix_add,
-    omega_moment,
-    qf_cumulant_iid,
-)
-from .cumulants import CumulantSequence
 from .series import (
     FormalSeries,
     elementary_series,
     limit_h_series,
+    limit_mgf_series,
     series_ratio,
     tangent_numbers,
     zigzag_numbers,
@@ -274,53 +271,32 @@ class ConvergenceRow:
     abs_error: float
 
 
-def _system_matrix(a, b, n: int, exact: bool) -> HermitianMatrix:
-    """The zero-diagonal weight matrix with (a + i b)/n above the diagonal."""
-    if exact:
-        re = Fraction(a) / n
-        im = Fraction(b) / n
-    else:
-        re = float(a) / n
-        im = float(b) / n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(GaussianRational(re * 0, im * 0))
-            elif i < j:
-                row.append(GaussianRational(re, im))
-            else:
-                row.append(GaussianRational(re, -im))
-        rows.append(row)
-    return HermitianMatrix(rows)
-
-
 def tangent_convergence(a, b, n_list, r_max: int) -> list:
     """Cumulants of the finite models against the limit law, per n and r.
 
-    The underlying family has mean 1/sqrt(n) and variance 1 (higher
-    cumulants zero; the zero-diagonal system matrix makes them
-    unreachable anyway).  Perfect-square n run fully exact and are only
-    rounded for the table; other n fall back to binary64 throughout.
+    The n-th model is the quadratic form of a family with mean 1/sqrt(n),
+    variance 1 and no higher cumulants, over the zero-diagonal system
+    matrix S = aP + bB - (a/n)I.  The zero diagonal leaves only the
+    all-singletons partition, of weight K_1^2 = 1/n, so K_r = Tr(P S^r)
+    exactly for every n.  That trace is the binomial expansion of the
+    exact moments Tr(P (aP + bB)^j) from limit_mgf_series; each K_r is
+    rounded once, for the table.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be positive, got {r_max}")
+    a = Fraction(a)
     limit = limit_h_series(a, b, r_max)
     rows = []
     for n in n_list:
         n = int(n)
-        if n < 1:
-            raise DomainError(f"model size must be positive, got {n}")
-        root = math.isqrt(n)
-        exact = root * root == n
-        mean = Fraction(1, root) if exact else 1.0 / math.sqrt(n)
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        seq = CumulantSequence([mean, one] + [zero] * (2 * r_max - 2))
-        system = _system_matrix(a, b, n, exact)
+        moments = limit_mgf_series(a, b, n, r_max)
+        shift = -a / n
         for r in range(1, r_max + 1):
-            finite = float(qf_cumulant_iid(system, seq, r).value)
+            exact = sum(
+                math.comb(r, j) * shift ** (r - j) * moments.coefficient(j)
+                for j in range(r + 1)
+            )
+            finite = float(exact)
             target = float(limit.coefficient(r))
             rows.append(ConvergenceRow(n, r, finite, target, abs(finite - target)))
     return rows
@@ -367,25 +343,25 @@ def zeta_zigzag_approx(kind: str, k: int, n: int) -> ApproxResult:
     tangent: (2k+1)! Tr(P B^(2k))  vs the tangent number (k >= 0),
     zigzag:  k! Tr(P (P+B)^(k-1)) / 2^(k-1)  vs the zigzag number (k >= 2).
 
-    The traces are exact rationals; rounding happens only at the end.
+    The traces Tr(P M^m) are exact rationals read off limit_mgf_series,
+    so the cost does not grow with n; rounding happens only at the end.
     """
     if n < 1:
         raise DomainError(f"matrix size must be positive, got {n}")
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     if kind == "zeta":
-        trace = omega_moment(build_special("B", n), 2 * k)
+        trace = limit_mgf_series(0, 1, n, 2 * k).coefficient(2 * k)
         approx = math.pi ** (2 * k + 2) * float(trace) / (2 * (2 ** (2 * k + 2) - 1))
         target = _p_series_target(2 * k + 2)
     elif kind == "tangent":
-        trace = omega_moment(build_special("B", n), 2 * k)
+        trace = limit_mgf_series(0, 1, n, 2 * k).coefficient(2 * k)
         approx = float(math.factorial(2 * k + 1) * trace)
         target = float(tangent_numbers(k + 1)[k])
     elif kind == "zigzag":
         if k < 2:
             raise DomainError(f"zigzag approximation needs k >= 2, got {k}")
-        summed = matrix_add(build_special("P", n), build_special("B", n))
-        trace = omega_moment(summed, k - 1)
+        trace = limit_mgf_series(1, 1, n, k - 1).coefficient(k - 1)
         approx = float(Fraction(math.factorial(k), 2 ** (k - 1)) * trace)
         target = float(zigzag_numbers(k)[k])
     else:

@@ -318,10 +318,9 @@ def test_limit_tangent_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,r,finite,limit,abs_error"
-    assert lines[2].endswith("3.3333333333329662e-05")
-    assert lines[4].endswith("8.3333333331103709e-06")
-    assert lines[2].startswith("100,2,")
-    assert lines[4].startswith("200,2,")
+    # Tr(P B^2) = (n^2 - 1)/(3 n^2), rounded once, against float(1/3)
+    assert lines[2] == "100,2,0.33329999999999999,0.33333333333333331,3.3333333333329662e-05"
+    assert lines[4] == "200,2,0.33332499999999998,0.33333333333333331,8.3333333333324155e-06"
 
 
 def test_limit_tangent_json_floats_are_wrapped(capsys):
@@ -420,6 +419,22 @@ def test_exit_code_on_missing_file(capsys):
     code, out, err = invoke(
         capsys, ["matrix", "check", "--matrix", "/nonexistent/m.json"]
     )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_exit_code_on_matrix_path_that_is_a_directory(capsys, tmp_path):
+    code, out, err = invoke(capsys, ["matrix", "check", "--matrix", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_exit_code_on_matrix_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "entries": [[["\xe9", "0"]]]}')
+    code, out, err = invoke(capsys, ["matrix", "check", "--matrix", str(path)])
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

@@ -6,13 +6,23 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bqf.cli import run
+from bqf.cumulants import CumulantSequence
 from bqf.errors import (
     AtomProximityError,
     DomainError,
     PoleProximityError,
 )
-from bqf.matrices import build_special, omega_moment
+from bqf.matrices import (
+    build_special,
+    matrix_add,
+    matrix_scale,
+    omega_moment,
+    qf_cumulant_iid,
+)
 from bqf.measure import (
     AtomicMeasure,
     levy_atoms,
@@ -216,6 +226,82 @@ def test_tangent_convergence_guards():
         tangent_convergence(0, 1, [4], 0)
     with pytest.raises(DomainError):
         tangent_convergence(0, 1, [0], 2)
+
+
+def system_matrix(a, b, n):
+    """The dense convergence model S = aP + bB - (a/n)I, as an oracle."""
+    return matrix_add(
+        matrix_add(
+            matrix_scale(build_special("P", n), a),
+            matrix_scale(build_special("B", n), b),
+        ),
+        matrix_scale(build_special("identity", n), -F(a) / n),
+    )
+
+
+ORACLE_SIZES = (1, 2, 3, 4, 5, 7, 9, 10, 12, 16, 17, 23, 25, 30)
+ORACLE_WEIGHTS = ((0, 1), (F(1, 2), 3), (1, 1), (-1, F(1, 2)))
+
+
+def test_tangent_convergence_matches_dense_oracle():
+    # the series route against Tr(P S^r) on the dense grid, and at square n
+    # against the partition engine with mean 1/sqrt(n), variance 1
+    for n in ORACLE_SIZES:
+        root = math.isqrt(n)
+        for a, b in ORACLE_WEIGHTS:
+            system = system_matrix(a, b, n)
+            for row in tangent_convergence(a, b, [n], 4):
+                trace = omega_moment(system, row.r)
+                assert row.finite_value == float(trace)
+                if root * root == n:
+                    seq = CumulantSequence([F(1, root), 1] + [0] * 6)
+                    assert qf_cumulant_iid(system, seq, row.r).value == trace
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    b=st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    n=st.integers(min_value=1, max_value=12),
+)
+def test_tangent_convergence_property_against_dense_oracle(a, b, n):
+    system = system_matrix(a, b, n)
+    for row in tangent_convergence(a, b, [n], 3):
+        assert row.finite_value == float(omega_moment(system, row.r))
+
+
+def test_trace_approximations_match_dense_oracle():
+    for n in (1, 2, 5, 12, 30):
+        b_moments = [omega_moment(build_special("B", n), m) for m in range(7)]
+        summed = matrix_add(build_special("P", n), build_special("B", n))
+        for k in range(4):
+            zeta = zeta_zigzag_approx("zeta", k, n)
+            want = math.pi ** (2 * k + 2) * float(b_moments[2 * k])
+            assert zeta.approx == want / (2 * (2 ** (2 * k + 2) - 1))
+            tangent = zeta_zigzag_approx("tangent", k, n)
+            assert tangent.approx == float(math.factorial(2 * k + 1) * b_moments[2 * k])
+        for k in range(2, 7):
+            zigzag = zeta_zigzag_approx("zigzag", k, n)
+            trace = omega_moment(summed, k - 1)
+            assert zigzag.approx == float(F(math.factorial(k), 2 ** (k - 1)) * trace)
+
+
+def test_tangent_convergence_at_a_million():
+    for row in tangent_convergence(0, 1, [999_999, 10**6], 2):
+        if row.r != 2:
+            continue
+        n = row.n
+        assert row.finite_value == float(F(n * n - 1, 3 * n * n))
+        # the table's error is a difference of two values rounded near 1/3,
+        # so it carries up to one ulp of 1/3 against the exact 1/(3 n^2)
+        assert abs(row.abs_error - 1 / (3 * n * n)) <= math.ulp(1 / 3)
+
+
+def test_trace_approximations_at_a_million(capsys):
+    for kind, k in (("zeta", 1), ("tangent", 2), ("zigzag", 5)):
+        assert zeta_zigzag_approx(kind, k, 10**6).rel_error < 1e-10
+    assert run(["approx", "zigzag", "--k", "4", "--n", "1000000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_second_matrix_moment_identity():
