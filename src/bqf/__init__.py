@@ -10,8 +10,9 @@ Subpackages, one concern each:
 - series: exact rational power series, tangent/zigzag numbers, tangent
   polynomials, the limit generating functions.
 - matrices: Hermitian matrices over Gaussian rationals, the quadratic-form
-  cumulant engine (direct, general-family, and Hadamard-factored routes),
-  trace identities, independence and zero-row-sum diagnostics.
+  cumulant engine (one composition DP for shared and per-variable
+  families; per-partition enumeration and the Hadamard-factored route as
+  oracles), trace identities, independence and zero-row-sum diagnostics.
 - stats: symmetrized products, sample variance, shifted sums of squares,
   and the compact closed form for shifted Gaussian sums.
 - measure: the atomic measure with tangent-root atoms, its self-energy and

@@ -29,6 +29,12 @@ from . import stats as st
 from .errors import DomainError
 from .rationals import format_rational, parse_rational, parse_rational_list
 
+# Bounds on arguments whose cost grows exponentially, checked before any
+# work starts: enumerate lists 2^(n-1) partitions, and the oracle expands
+# the quadratic form's powers word by word.
+PARTITIONS_MAX_N = 16
+ORACLE_CHECK_MAX_ORDER = 12
+
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
@@ -110,6 +116,8 @@ def _family_from_dist(dist: str, order: int, n: int):
 
 def _cmd_partitions_enumerate(parser, args):
     n = _single_n(parser, args)
+    if n > PARTITIONS_MAX_N:
+        raise DomainError(f"--n must be at most {PARTITIONS_MAX_N}, got {n}")
     parts = pt.enumerate_interval(n)
     payload = {
         "n": n,
@@ -143,6 +151,10 @@ def _cmd_cumulants_qf(parser, args):
 
 
 def _cmd_cumulants_oracle_check(parser, args):
+    if args.order > ORACLE_CHECK_MAX_ORDER:
+        raise DomainError(
+            f"--order must be at most {ORACLE_CHECK_MAX_ORDER}, got {args.order}"
+        )
     if args.matrix:
         if len(args.matrix) != 1:
             parser.error("this subcommand takes a single --matrix")

@@ -6,18 +6,27 @@ cumulants given by a sum over interval partitions of {1, ..., r+1}: each
 partition contributes the sum of matrix entry products over index tuples
 that are constant on its blocks, times a product of cumulants read off the
 partition lifted to {1, ..., 2r}.  Constant-on-blocks sums factor into a
-chain of vector-matrix products with diagonal weights, which is how
-qf_cumulant_iid evaluates them; qf_cumulant_hadamard reaches the same
-numbers along a structurally different route (projector closures and
-entrywise products), so the two can cross-check each other.
+chain of vector-matrix products with diagonal weights.
+
+The engine is _qf_dp, behind both qf_cumulant_iid and qf_cumulant_general.
+Interval partitions are compositions, so the sum is a dynamic programme
+over block ends: r matvecs on Python-int grids, polynomial in r and n.
+Two routes are kept as oracles for the tests: the per-partition
+enumeration behind QFCumulantReport.contributions (2^r partitions, refused
+above CONTRIBUTIONS_MAX_ORDER) and qf_cumulant_hadamard, which reaches the
+same numbers along a structurally different route (projector closures and
+entrywise products).
 
 All trace functionals against the all-ones matrix J are computed as
 1^T A^k 1 by vector iteration; no matrix power is ever formed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
 from .partitions import closure_structure, enumerate_interval, lift_matching
@@ -254,18 +263,30 @@ def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
     return ZeroSumReport(row_sums_zero, ja2_zero, upto, constant)
 
 
+# Per-partition enumeration visits 2^r partitions; QFCumulantReport
+# refuses to list them above this order.
+CONTRIBUTIONS_MAX_ORDER = 12
+
+
 @dataclass(frozen=True)
 class QFCumulantReport:
     """One quadratic-form cumulant with its per-partition breakdown.
 
-    value is the real total; contributions pairs each interval partition
-    of {1, ..., r+1} with its (possibly non-real) share, and the shares
-    sum to the total.
+    value is the real total, from the composition DP.  contributions
+    pairs each interval partition of {1, ..., r+1} with its (possibly
+    non-real) share; the shares sum to the total.  They come from the
+    per-partition enumeration oracle, run on first access and only up to
+    order CONTRIBUTIONS_MAX_ORDER (above it, DomainError).
     """
 
     order: int
     value: object
-    contributions: tuple
+    matrix: HermitianMatrix = field(repr=False)
+    seq: object = field(repr=False)
+
+    @cached_property
+    def contributions(self) -> tuple:
+        return _partition_shares(self.matrix, self.seq, self.order)
 
     def contribution(self, pi):
         for p, value in self.contributions:
@@ -282,26 +303,24 @@ def _lifted_cumulant_weight(seq, pi):
     return weight
 
 
-def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
-    """K_r of T = sum a_{jk} X_j X_k for one shared cumulant sequence.
+def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
+    """Oracle: the share of every interval partition of {1, ..., r+1}.
 
     Per partition, the constant-on-blocks entry-product sum is the chain
     1^T D_1 A D_2 A ... A D_p 1 with D_m the diagonal of A raised
-    entrywise to (block size m) - 1.
+    entrywise to (block size m) - 1, times the lifted cumulant product.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
-    if seq.order < 2 * r:
-        raise OrderShortfallError(
-            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
+    if r > CONTRIBUTIONS_MAX_ORDER:
+        raise DomainError(
+            f"per-partition contributions stop at order {CONTRIBUTIONS_MAX_ORDER}; "
+            f"order {r} has {2**r} partitions"
         )
     diag = a.diagonal()
-    contributions = []
-    total = GR_ZERO
+    shares = []
     for pi in enumerate_interval(r + 1):
         weight = _lifted_cumulant_weight(seq, pi)
         if not weight:
-            contributions.append((pi, GR_ZERO))
+            shares.append((pi, GR_ZERO))
             continue
         sizes = pi.block_sizes()
         u = tuple(_gr_pow(d, sizes[0] - 1) for d in diag)
@@ -311,20 +330,99 @@ def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
             u = _row_times_grid(u, a.entries)
             if s > 1:
                 u = tuple(x * _gr_pow(d, s - 1) for x, d in zip(u, diag))
-        share = _vec_total(u) * weight
-        contributions.append((pi, share))
-        total = total + share
-    value = _require_real(total, f"K_{r} of the quadratic form")
-    return QFCumulantReport(r, value, tuple(contributions))
+        shares.append((pi, _vec_total(u) * weight))
+    return tuple(shares)
+
+
+def _int_grids(a: HermitianMatrix):
+    """The columns of A as integer (re, im) grids over one denominator."""
+    den = lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
+    cols = list(zip(*a.entries))
+    re = [[e.re.numerator * (den // e.re.denominator) for e in col] for col in cols]
+    im = [[e.im.numerator * (den // e.im.denominator) for e in col] for col in cols]
+    return re, im, den
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _qf_dp(a: HermitianMatrix, kvec, r: int):
+    """K_r of the quadratic form by a DP over compositions of r+1.
+
+    kvec(m) lists K_m of each variable.  The interval partitions of
+    {1, ..., r+1} are the compositions of r+1; a block of size s weighs
+    K_{2s-1} at either end of the chain, K_{2s} inside it (K_{2r} when it
+    is the only block) and the diagonal power d^(s-1), and consecutive
+    blocks are joined by one factor A.  V_j sums the weighted chain row
+    vectors of all compositions of 1..j, so the whole sum costs r
+    matvecs: the Boolean moment-cumulant recursion lifted to vectors.
+
+    Everything runs on Python ints.  With A = A'/dA and K = K'/dK over
+    common denominators, a block of size s is scaled by dK^s dA^(s-1)
+    and each joining A by dA, so every composition of r+1 is scaled by
+    the same dK^(r+1) dA^r.  V_j and W_j = V_j A are then integer vectors
+    over dK^j dA^(j-1) and dK^j dA^j, and one Fraction is built at the end.
+    """
+    n = a.n
+    re, im, da = _int_grids(a)
+    ks = [[Fraction(k) for k in kvec(m)] for m in range(1, 2 * r + 1)]
+    dk = lcm(*(k.denominator for row in ks for k in row))
+    kint = [None] + [[k.numerator * (dk // k.denominator) for k in row] for row in ks]
+    g = [re[i][i] * dk for i in range(n)]
+    gpow = [[1] * n]
+    for _ in range(r):
+        gpow.append(list(map(mul, gpow[-1], g)))
+
+    def weight(m, s):  # K'_m (dK d')^(s-1) per variable, d' = dA d
+        return list(map(mul, kint[m], gpow[s - 1]))
+
+    edge = [None] + [weight(2 * s - 1, s) for s in range(1, r + 1)]
+    inner = [None] + [weight(2 * s, s) for s in range(1, r)]
+    total_re = _dot(kint[2 * r], gpow[r])
+    total_im = 0
+    w_re = [None]
+    w_im = [None]
+    for j in range(1, r + 1):
+        v_re = edge[j]
+        v_im = [0] * n
+        for s in range(1, j):
+            f = inner[s]
+            if any(f):
+                v_re = [x + y * z for x, y, z in zip(v_re, w_re[j - s], f)]
+                v_im = [x + y * z for x, y, z in zip(v_im, w_im[j - s], f)]
+        w_re.append([_dot(v_re, cr) - _dot(v_im, ci) for cr, ci in zip(re, im)])
+        w_im.append([_dot(v_re, ci) + _dot(v_im, cr) for cr, ci in zip(re, im)])
+    for s in range(1, r + 1):
+        total_re += _dot(w_re[r + 1 - s], edge[s])
+        total_im += _dot(w_im[r + 1 - s], edge[s])
+    den = dk ** (r + 1) * da**r
+    total = GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
+    return _require_real(total, f"K_{r} of the quadratic form")
+
+
+def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
+    """K_r of T = sum a_{jk} X_j X_k for one shared cumulant sequence.
+
+    The value comes from the composition DP (_qf_dp); the report's
+    per-partition contributions are left to the enumeration oracle.
+    """
+    if r < 1:
+        raise DomainError(f"cumulant order must be positive, got {r}")
+    if seq.order < 2 * r:
+        raise OrderShortfallError(
+            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
+        )
+    value = _qf_dp(a, lambda m: (seq.k(m),) * a.n, r)
+    return QFCumulantReport(r, value, a, seq)
 
 
 def qf_cumulant_general(a: HermitianMatrix, family, r: int):
     """K_r of the quadratic form for per-variable cumulant sequences.
 
-    Direct evaluation: iterate all index tuples (i_0, ..., i_r), weight
-    each entry product by the partition sum of cumulant products over the
-    partitions of {1, ..., 2r} that pair off with the standard matching,
-    restricted to partitions whose blocks carry a constant variable.
+    family maps variable index 1..n to its sequence.  A block of an
+    interval partition carries one variable, so the composition DP
+    (_qf_dp) applies with per-variable weights.
     """
     if r < 1:
         raise DomainError(f"cumulant order must be positive, got {r}")
@@ -337,53 +435,19 @@ def qf_cumulant_general(a: HermitianMatrix, family, r: int):
                 f"order {r} needs cumulants through {2 * r}, variable {i} "
                 f"has {family[i].order}"
             )
-    # Positions 1..2r of the doubled word map to tuple slots 0..r.
-    qualifying = []
-    for pi in enumerate_interval(r + 1):
-        lifted = lift_matching(pi)
-        qualifying.append(
-            tuple(
-                (len(block), tuple(p // 2 for p in block))
-                for block in lifted.blocks()
-            )
-        )
-    grid = a.entries
-    total = GR_ZERO
-
-    def walk(slot, prefix, entry_prod):
-        nonlocal total
-        if slot == r:
-            ksum = Fraction(0)
-            for blocks in qualifying:
-                kprod = Fraction(1)
-                for size, slots in blocks:
-                    v = prefix[slots[0]]
-                    if any(prefix[s] != v for s in slots[1:]):
-                        kprod = Fraction(0)
-                        break
-                    kprod *= family[v + 1].k(size)
-                ksum += kprod
-            if ksum:
-                total = total + entry_prod * ksum
-            return
-        for nxt in range(n):
-            e = grid[prefix[-1]][nxt]
-            if e:
-                walk(slot + 1, prefix + (nxt,), entry_prod * e)
-
-    for first in range(n):
-        walk(0, (first,), GR_ONE)
-    return _require_real(total, f"K_{r} of the quadratic form")
+    return _qf_dp(a, lambda m: [family[i].k(m) for i in range(1, n + 1)], r)
 
 
 def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
-    """K_r of the quadratic form via projector closures.
+    """K_r of the quadratic form via projector closures (an oracle).
 
     Per partition, the block starts act as plain matrix factors in the
     order they appear (position one contributes J, later positions
     contribute A) while each block's tail is compressed to the entrywise
     product of the tails' diagonals; the partition's share is the trace of
-    the resulting chain.  Totals must agree exactly with qf_cumulant_iid.
+    the resulting chain.  Enumerates all 2^r interval partitions; the
+    tests use it as an independent check, and its totals must agree
+    exactly with qf_cumulant_iid.
     """
     if r < 1:
         raise DomainError(f"cumulant order must be positive, got {r}")

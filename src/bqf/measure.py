@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy
-
 from .errors import (
     AtomProximityError,
     BracketError,
@@ -312,13 +310,21 @@ def _p_series_target(exponent: int) -> float:
         top += 1
     while top**exponent > bound:
         top -= 1
+    # Imported here, not at module load: no other bqf code needs numpy,
+    # and loading it costs every process about 14 MB and 0.15 s.
+    import numpy
+
+    # One chunk-sized array at a time: the power is taken in place and
+    # the block is released before the next arange allocates.
     chunk = 1 << 22
     totals = []
     hi = top
     while hi >= 1:
         lo = max(1, hi - chunk + 1)
         block = numpy.arange(lo, hi + 1, dtype=numpy.float64)
-        totals.append(float(numpy.sum(block ** float(-exponent))))
+        numpy.power(block, float(-exponent), out=block)
+        totals.append(float(numpy.sum(block)))
+        del block
         hi = lo - 1
     return math.fsum(totals)
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bqf.cli import main, run
+from bqf.cli import ORACLE_CHECK_MAX_ORDER, PARTITIONS_MAX_N, main, run
 from bqf.matrices import (
     HermitianMatrix,
     build_special,
@@ -446,6 +446,29 @@ def test_exit_code_on_domain_error(capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_exponential_arguments_are_bounded_up_front(capsys):
+    # each bound is probed at limit + 1 only; it refuses before any work
+    cases = [
+        (["partitions", "enumerate", "--n", str(PARTITIONS_MAX_N + 1)], "--n"),
+        (
+            [
+                "cumulants",
+                "oracle-check",
+                "--dist",
+                "gaussian:c=1,v=2",
+                "--order",
+                str(ORACLE_CHECK_MAX_ORDER + 1),
+            ],
+            "--order",
+        ),
+    ]
+    for argv, flag in cases:
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err
 
 
 def test_exit_code_on_usage_error(capsys):

@@ -4,9 +4,12 @@ independence scans, and the matrix JSON format."""
 import itertools
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf.cumulants import (
     NCPolynomial,
@@ -19,6 +22,7 @@ from bqf.cumulants import (
 )
 from bqf.errors import DomainError, HermitianError, OrderShortfallError
 from bqf.matrices import (
+    CONTRIBUTIONS_MAX_ORDER,
     GaussianRational,
     HermitianMatrix,
     build_special,
@@ -355,6 +359,124 @@ def test_zero_sum_constant_diagonal_reduces_to_single_block():
         assert va == qf_cumulant_iid(t, sb, r).value
         assert va == n * F(n - 1, n) ** r  # even cumulants are all 1 here
         assert qf_cumulant_iid(t, sc, r).value == sc.k(2 * r) * n * F(n - 1, n) ** r
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hermitian_matrices(draw, max_n, complex_entries=True):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussianRational(draw(SMALL_RATIONALS))
+        for j in range(i + 1, n):
+            im = draw(SMALL_RATIONALS) if complex_entries else 0
+            rows[i][j] = GaussianRational(draw(SMALL_RATIONALS), im)
+            rows[j][i] = rows[i][j].conjugate()
+    return HermitianMatrix(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=hermitian_matrices(max_n=4),
+    r=st.integers(min_value=1, max_value=6),
+    values=st.lists(SMALL_RATIONALS, min_size=12, max_size=12),
+)
+def test_qf_dp_matches_enumeration_and_hadamard_property(a, r, values):
+    seq = custom_sequence(values)
+    rep = qf_cumulant_iid(a, seq, r)
+    shares = sum((c for _, c in rep.contributions), GaussianRational(0))
+    assert shares == GaussianRational(rep.value)
+    assert qf_cumulant_hadamard(a, seq, r) == rep.value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=hermitian_matrices(max_n=3, complex_entries=False),
+    r=st.integers(min_value=1, max_value=3),
+    values=st.lists(
+        st.lists(SMALL_RATIONALS, min_size=6, max_size=6), min_size=3, max_size=3
+    ),
+)
+def test_qf_cumulant_general_matches_polynomial_oracle_property(a, r, values):
+    # a different sequence per variable
+    fam = {i + 1: custom_sequence(values[i]) for i in range(a.n)}
+    poly = NCPolynomial(
+        [
+            (a.entries[j][k].re, (j + 1, k + 1))
+            for j in range(a.n)
+            for k in range(a.n)
+        ]
+    )
+    assert qf_cumulant_general(a, fam, r) == element_cumulants(poly, fam, r).k(r)
+
+
+def test_qf_dp_integer_kernel_edge_cases():
+    seq = custom_sequence([F(2, 3), F(-1), F(5, 7), F(3), F(-2, 5), F(1), F(4), F(-1, 9)])
+    huge = 2**61 - 1  # prime, like the other denominators below
+    cases = [
+        HermitianMatrix([[F(-5, 3)]]),  # n = 1
+        HermitianMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),  # zero matrix
+        HermitianMatrix([[0, F(1, 2), -3], [F(1, 2), 0, F(2, 3)], [-3, F(2, 3), 0]]),
+        build_special("B", 4),  # purely imaginary
+        HermitianMatrix(
+            [
+                [F(1, huge), GaussianRational(F(3, 10**9 + 7), F(-1, 998244353))],
+                [GaussianRational(F(3, 10**9 + 7), F(1, 998244353)), F(-7, 2**31 - 1)],
+            ]
+        ),
+    ]
+    for a in cases:
+        for r in range(1, 5):
+            value = qf_cumulant_iid(a, seq, r).value
+            assert type(value) is F
+            assert value == qf_cumulant_hadamard(a, seq, r)
+    for r in range(1, 5):
+        assert qf_cumulant_iid(cases[1], seq, r).value == 0
+        assert qf_cumulant_iid(cases[0], seq, r).value == element_cumulants(
+            NCPolynomial([(F(-5, 3), (1, 1))]), constant_family(seq, 1), r
+        ).k(r)
+
+
+def test_qf_value_never_enumerates_partitions(monkeypatch):
+    def refuse(n):
+        raise RuntimeError(f"enumerated {2 ** (n - 1)} partitions")
+
+    monkeypatch.setattr("bqf.matrices.enumerate_interval", refuse)
+    rng = random.Random(8)
+    a = random_hermitian(rng, 3)
+    seq = poisson_sequence(F(3, 2), F(2, 3), 12)
+    for r in range(1, 7):
+        rep = qf_cumulant_iid(a, seq, r)
+        assert rep.value == qf_cumulant_general(a, constant_family(seq, 3), r)
+    with pytest.raises(RuntimeError, match="enumerated 64 partitions"):
+        rep.contributions
+
+
+def test_qf_contributions_order_cap():
+    a = identity_minus_projector(2)
+    r = CONTRIBUTIONS_MAX_ORDER + 1
+    seq = even_poisson_sequence([1], 2 * r)
+    rep = qf_cumulant_iid(a, seq, r)
+    assert rep.value == 2 * F(1, 2) ** r
+    with pytest.raises(DomainError, match="contributions"):
+        rep.contributions
+    with pytest.raises(DomainError, match="contributions"):
+        rep.contribution(enumerate_interval(3)[0])
+
+
+def test_qf_cumulant_order_32_at_n_50_centering_complement():
+    # the centering complement closed form (acceptance criterion 5) at the
+    # size the composition DP is built for
+    n, r = 50, 32
+    rng = random.Random(50)
+    seq = custom_sequence([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2 * r)])
+    a = identity_minus_projector(n)
+    t0 = time.monotonic()
+    value = qf_cumulant_iid(a, seq, r).value
+    assert time.monotonic() - t0 < 10.0
+    assert value == n * (1 - F(1, n)) ** r * seq.k(2 * r)
 
 
 def test_mixed_qf_cumulant_basics():

@@ -325,6 +325,13 @@ def test_zeta_approx():
         assert rels[0] > rels[1] > rels[2]
 
 
+def test_zeta_targets_are_pinned_bit_for_bit():
+    # the chunked p-series sums for exponents 2 (3.2e7 terms, eight chunks)
+    # and 4, as binary64 bit patterns
+    assert zeta_zigzag_approx("zeta", 0, 5).target.hex() == "0x1.a51a659d5ee10p+0"
+    assert zeta_zigzag_approx("zeta", 1, 5).target.hex() == "0x1.151322ac7b74fp+0"
+
+
 def test_tangent_approx():
     for n in (50, 100, 200):
         assert zeta_zigzag_approx("tangent", 0, n).rel_error == 0.0
