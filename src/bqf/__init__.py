@@ -12,7 +12,8 @@ Subpackages, one concern each:
 - matrices: Hermitian matrices over Gaussian rationals, the quadratic-form
   cumulant engine (one composition DP for shared and per-variable
   families; per-partition enumeration and the Hadamard-factored route as
-  oracles), trace identities, independence and zero-row-sum diagnostics.
+  oracles), trace identities, independence and zero-row-sum diagnostics,
+  all on one Python-int matvec kernel except the Hadamard oracle.
 - stats: symmetrized products, sample variance, shifted sums of squares,
   and the compact closed form for shifted Gaussian sums.
 - measure: the atomic measure with tangent-root atoms, its self-energy and
@@ -20,7 +21,8 @@ Subpackages, one concern each:
   approximations.
 - cli: the `bqf` command-line front end.
 
-All core arithmetic is exact (fractions.Fraction, Gaussian rationals).
+All core arithmetic is exact (Python ints over common denominators,
+fractions.Fraction, Gaussian rationals).
 binary64 enters only in the measure module's root-finding and atom data,
 and in the final rounding of exact results for its tables (convergence
 and trace approximations are exact for every n up to that one rounding);

@@ -34,6 +34,18 @@ from .rationals import format_rational, parse_rational, parse_rational_list
 # the quadratic form's powers word by word.
 PARTITIONS_MAX_N = 16
 ORACLE_CHECK_MAX_ORDER = 12
+# Bounds on Krylov lengths, also checked up front: each power 1^T A^k is
+# one more matvec on integers that grow with k, so the cost is about
+# quadratic in the length; an independent pair never stops a --k scan
+# early, and cumulants qf runs one DP per order.
+QF_MAX_ORDER = 64
+H_SERIES_MAX_ORDER = 512
+INDEPENDENCE_MAX_K = 512
+
+
+def _check_bound(flag: str, value, limit: int):
+    if value is not None and value > limit:
+        raise DomainError(f"{flag} must be at most {limit}, got {value}")
 
 
 def _fmt_float(x: float) -> str:
@@ -116,8 +128,7 @@ def _family_from_dist(dist: str, order: int, n: int):
 
 def _cmd_partitions_enumerate(parser, args):
     n = _single_n(parser, args)
-    if n > PARTITIONS_MAX_N:
-        raise DomainError(f"--n must be at most {PARTITIONS_MAX_N}, got {n}")
+    _check_bound("--n", n, PARTITIONS_MAX_N)
     parts = pt.enumerate_interval(n)
     payload = {
         "n": n,
@@ -137,6 +148,7 @@ def _cmd_cumulants_qf(parser, args):
         parser.error("--matrix is required")
     if len(args.matrix) != 1:
         parser.error("this subcommand takes a single --matrix")
+    _check_bound("--order", args.order, QF_MAX_ORDER)
     matrix = mx.load_matrix(args.matrix[0])
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [mx.qf_cumulant_iid(matrix, seq, r).value for r in range(1, args.order + 1)]
@@ -151,10 +163,7 @@ def _cmd_cumulants_qf(parser, args):
 
 
 def _cmd_cumulants_oracle_check(parser, args):
-    if args.order > ORACLE_CHECK_MAX_ORDER:
-        raise DomainError(
-            f"--order must be at most {ORACLE_CHECK_MAX_ORDER}, got {args.order}"
-        )
+    _check_bound("--order", args.order, ORACLE_CHECK_MAX_ORDER)
     if args.matrix:
         if len(args.matrix) != 1:
             parser.error("this subcommand takes a single --matrix")
@@ -250,6 +259,7 @@ def _cmd_matrix_check(parser, args):
 def _cmd_matrix_independence(parser, args):
     if not args.matrix or len(args.matrix) != 2:
         parser.error("exactly two --matrix flags are required")
+    _check_bound("--k", args.k, INDEPENDENCE_MAX_K)
     a = mx.load_matrix(args.matrix[0])
     b = mx.load_matrix(args.matrix[1])
     result = mx.independence_check(a, b, args.k)
@@ -268,6 +278,7 @@ def _cmd_matrix_independence(parser, args):
 def _cmd_matrix_h_series(parser, args):
     if not args.matrix or len(args.matrix) != 1:
         parser.error("exactly one --matrix is required")
+    _check_bound("--order", args.order, H_SERIES_MAX_ORDER)
     matrix = mx.load_matrix(args.matrix[0])
     series = mx.h_series_qf(matrix, args.order)
     payload = {

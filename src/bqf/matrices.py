@@ -10,21 +10,26 @@ chain of vector-matrix products with diagonal weights.
 
 The engine is _qf_dp, behind both qf_cumulant_iid and qf_cumulant_general.
 Interval partitions are compositions, so the sum is a dynamic programme
-over block ends: r matvecs on Python-int grids, polynomial in r and n.
+over block ends: r matvecs, polynomial in r and n.
 Two routes are kept as oracles for the tests: the per-partition
 enumeration behind QFCumulantReport.contributions (2^r partitions, refused
 above CONTRIBUTIONS_MAX_ORDER) and qf_cumulant_hadamard, which reaches the
 same numbers along a structurally different route (projector closures and
-entrywise products).
+entrywise products) in GaussianRational arithmetic of its own.
 
 All trace functionals against the all-ones matrix J are computed as
-1^T A^k 1 by vector iteration; no matrix power is ever formed.
+1^T A^k 1 by vector iteration on one integer kernel: A as integer (re, im)
+columns over one denominator (_int_grids), one row-vector product
+(_matvec) and the powers 1^T A^k (_powers).  No matrix power is formed,
+one Fraction is built per result, and every chain outside
+qf_cumulant_hadamard runs on this kernel, _qf_dp included.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from math import lcm
 from operator import mul
 
@@ -81,13 +86,6 @@ def as_gaussian(value) -> GaussianRational:
 
 GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)
-
-
-def _gr_pow(base: GaussianRational, exponent: int) -> GaussianRational:
-    acc = GR_ONE
-    for _ in range(exponent):
-        acc = acc * base
-    return acc
 
 
 @dataclass(frozen=True)
@@ -161,32 +159,6 @@ def matrix_scale(a: HermitianMatrix, c) -> HermitianMatrix:
     return HermitianMatrix([[e * c for e in row] for row in a.entries])
 
 
-def _ones(n: int) -> tuple:
-    return (GR_ONE,) * n
-
-
-def _row_times_grid(u: tuple, grid) -> tuple:
-    n = len(u)
-    out = []
-    for j in range(n):
-        acc = GR_ZERO
-        for i in range(n):
-            ui = u[i]
-            if ui:
-                e = grid[i][j]
-                if e:
-                    acc = acc + ui * e
-        out.append(acc)
-    return tuple(out)
-
-
-def _vec_total(u: tuple) -> GaussianRational:
-    acc = GR_ZERO
-    for x in u:
-        acc = acc + x
-    return acc
-
-
 def _matmul(x, y, n: int):
     out = []
     for i in range(n):
@@ -210,16 +182,52 @@ def _require_real(value: GaussianRational, what: str):
     return value.re
 
 
+def _int_grids(a: HermitianMatrix):
+    """The columns of A as integer (re, im) grids over one denominator."""
+    den = lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
+    cols = list(zip(*a.entries))
+    re = [[e.re.numerator * (den // e.re.denominator) for e in col] for col in cols]
+    im = [[e.im.numerator * (den // e.im.denominator) for e in col] for col in cols]
+    return re, im, den
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _matvec(u, grids):
+    """The row vector u A, for u an integer (re, im) pair and grids from
+    _int_grids; the result carries one more factor of their denominator."""
+    u_re, u_im = u
+    re, im, _ = grids
+    return (
+        [_dot(u_re, cr) - _dot(u_im, ci) for cr, ci in zip(re, im)],
+        [_dot(u_re, ci) + _dot(u_im, cr) for cr, ci in zip(re, im)],
+    )
+
+
+def _powers(grids):
+    """The row vectors 1^T A^k for k = 0, 1, 2, ...; the k-th is over den^k."""
+    n = len(grids[0])
+    u = ([1] * n, [0] * n)
+    while True:
+        yield u
+        u = _matvec(u, grids)
+
+
+def _total(u, den) -> GaussianRational:
+    """The sum of the entries of an integer (re, im) vector over den."""
+    return GaussianRational(Fraction(sum(u[0]), den), Fraction(sum(u[1]), den))
+
+
 def trace_J_power(a: HermitianMatrix, k: int):
     """Tr(J A^k) computed as 1^T A^k 1; real (and returned as such) for
     self-adjoint input."""
     if k < 0:
         raise DomainError(f"power must be nonnegative, got {k}")
-    u = _ones(a.n)
-    for _ in range(k):
-        u = _row_times_grid(u, a.entries)
-    total = _vec_total(u)
-    return _require_real(total, f"Tr(J A^{k})")
+    grids = _int_grids(a)
+    u = next(islice(_powers(grids), k, None))
+    return _require_real(_total(u, grids[2] ** k), f"Tr(J A^{k})")
 
 
 def omega_moment(a: HermitianMatrix, m: int):
@@ -244,15 +252,11 @@ class ZeroSumReport:
 
 def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
     n = a.n
-    row_sums_zero = all(not _vec_total(row) for row in a.entries)
+    powers = islice(_powers(_int_grids(a)), 1, 2 * n + 1)
+    first = next(powers)  # 1^T A: the row sums, conjugated
+    row_sums_zero = not any(map(any, first))
     ja2_zero = not trace_J_power(a, 2)
-    u = _ones(n)
-    upto = True
-    for _ in range(2 * n):
-        u = _row_times_grid(u, a.entries)
-        if _vec_total(u):
-            upto = False
-            break
+    upto = not any(sum(re) or sum(im) for re, im in chain([first], powers))
     diag = a.diagonal()
     constant = all(d == diag[0] for d in diag)
     if not (row_sums_zero == ja2_zero == upto):
@@ -309,13 +313,18 @@ def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
     Per partition, the constant-on-blocks entry-product sum is the chain
     1^T D_1 A D_2 A ... A D_p 1 with D_m the diagonal of A raised
     entrywise to (block size m) - 1, times the lifted cumulant product.
+    On the integer grids every chain is over den^r, since the block sizes
+    sum to r + 1.
     """
     if r > CONTRIBUTIONS_MAX_ORDER:
         raise DomainError(
             f"per-partition contributions stop at order {CONTRIBUTIONS_MAX_ORDER}; "
             f"order {r} has {2**r} partitions"
         )
-    diag = a.diagonal()
+    n = a.n
+    grids = _int_grids(a)
+    g = [grids[0][i][i] for i in range(n)]
+    gpow = [[x**s for x in g] for s in range(r + 1)]
     shares = []
     for pi in enumerate_interval(r + 1):
         weight = _lifted_cumulant_weight(seq, pi)
@@ -323,28 +332,14 @@ def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
             shares.append((pi, GR_ZERO))
             continue
         sizes = pi.block_sizes()
-        u = tuple(_gr_pow(d, sizes[0] - 1) for d in diag)
+        u = (gpow[sizes[0] - 1], [0] * n)
         for s in sizes[1:]:
-            if not any(u):
+            if not any(map(any, u)):
                 break
-            u = _row_times_grid(u, a.entries)
-            if s > 1:
-                u = tuple(x * _gr_pow(d, s - 1) for x, d in zip(u, diag))
-        shares.append((pi, _vec_total(u) * weight))
+            u_re, u_im = _matvec(u, grids)
+            u = (list(map(mul, u_re, gpow[s - 1])), list(map(mul, u_im, gpow[s - 1])))
+        shares.append((pi, _total(u, grids[2] ** r) * weight))
     return tuple(shares)
-
-
-def _int_grids(a: HermitianMatrix):
-    """The columns of A as integer (re, im) grids over one denominator."""
-    den = lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
-    cols = list(zip(*a.entries))
-    re = [[e.re.numerator * (den // e.re.denominator) for e in col] for col in cols]
-    im = [[e.im.numerator * (den // e.im.denominator) for e in col] for col in cols]
-    return re, im, den
-
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
 
 
 def _qf_dp(a: HermitianMatrix, kvec, r: int):
@@ -365,7 +360,8 @@ def _qf_dp(a: HermitianMatrix, kvec, r: int):
     over dK^j dA^(j-1) and dK^j dA^j, and one Fraction is built at the end.
     """
     n = a.n
-    re, im, da = _int_grids(a)
+    grids = _int_grids(a)
+    re, _, da = grids
     ks = [[Fraction(k) for k in kvec(m)] for m in range(1, 2 * r + 1)]
     dk = lcm(*(k.denominator for row in ks for k in row))
     kint = [None] + [[k.numerator * (dk // k.denominator) for k in row] for row in ks]
@@ -381,21 +377,21 @@ def _qf_dp(a: HermitianMatrix, kvec, r: int):
     inner = [None] + [weight(2 * s, s) for s in range(1, r)]
     total_re = _dot(kint[2 * r], gpow[r])
     total_im = 0
-    w_re = [None]
-    w_im = [None]
+    w = [None]
     for j in range(1, r + 1):
         v_re = edge[j]
         v_im = [0] * n
         for s in range(1, j):
             f = inner[s]
             if any(f):
-                v_re = [x + y * z for x, y, z in zip(v_re, w_re[j - s], f)]
-                v_im = [x + y * z for x, y, z in zip(v_im, w_im[j - s], f)]
-        w_re.append([_dot(v_re, cr) - _dot(v_im, ci) for cr, ci in zip(re, im)])
-        w_im.append([_dot(v_re, ci) + _dot(v_im, cr) for cr, ci in zip(re, im)])
+                w_re, w_im = w[j - s]
+                v_re = [x + y * z for x, y, z in zip(v_re, w_re, f)]
+                v_im = [x + y * z for x, y, z in zip(v_im, w_im, f)]
+        w.append(_matvec((v_re, v_im), grids))
     for s in range(1, r + 1):
-        total_re += _dot(w_re[r + 1 - s], edge[s])
-        total_im += _dot(w_im[r + 1 - s], edge[s])
+        w_re, w_im = w[r + 1 - s]
+        total_re += _dot(w_re, edge[s])
+        total_im += _dot(w_im, edge[s])
     den = dk ** (r + 1) * da**r
     total = GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
     return _require_real(total, f"K_{r} of the quadratic form")
@@ -447,7 +443,9 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
     product of the tails' diagonals; the partition's share is the trace of
     the resulting chain.  Enumerates all 2^r interval partitions; the
     tests use it as an independent check, and its totals must agree
-    exactly with qf_cumulant_iid.
+    exactly with qf_cumulant_iid.  It multiplies GaussianRational entries
+    itself (_matmul), so its arithmetic shares nothing with the integer
+    kernel (_matvec) that every other chain here runs on.
     """
     if r < 1:
         raise DomainError(f"cumulant order must be positive, got {r}")
@@ -470,7 +468,7 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
         tails = [range(outer[m] + 1, bounds[m + 1]) for m in range(len(outer))]
         tvecs = []
         for tail in tails:
-            vec = _ones(n)
+            vec = (GR_ONE,) * n
             for _ in tail:
                 vec = tuple(x * d for x, d in zip(vec, diag))
             tvecs.append(vec)
@@ -497,10 +495,13 @@ def mixed_qf_cumulant(mats) -> object:
     for m in mats[1:]:
         if m.n != n:
             raise DomainError(f"sizes differ: {n} vs {m.n}")
-    u = _ones(n)
+    u = ([1] * n, [0] * n)
+    den = 1
     for m in mats:
-        u = _row_times_grid(u, m.entries)
-    return _require_real(_vec_total(u), "mixed quadratic-form cumulant")
+        grids = _int_grids(m)
+        u = _matvec(u, grids)
+        den *= grids[2]
+    return _require_real(_total(u, den), "mixed quadratic-form cumulant")
 
 
 @dataclass(frozen=True)
@@ -531,14 +532,12 @@ def independence_check(
         raise DomainError(f"kmax must be positive, got {kmax}")
     if n == 2:
         kmax = 1
-    ua = _ones(n)
-    ub = _ones(n)
-    for k in range(1, kmax + 1):
-        ua = _row_times_grid(ua, a.entries)
-        if any(_row_times_grid(ua, b.entries)):
+    ga, gb = _int_grids(a), _int_grids(b)
+    pa, pb = islice(_powers(ga), 1, None), islice(_powers(gb), 1, None)
+    for k, ua, ub in zip(range(1, kmax + 1), pa, pb):
+        if any(map(any, _matvec(ua, gb))):
             return IndependenceResult(False, k, "AB")
-        ub = _row_times_grid(ub, b.entries)
-        if any(_row_times_grid(ub, a.entries)):
+        if any(map(any, _matvec(ub, ga))):
             return IndependenceResult(False, k, "BA")
     return IndependenceResult(True)
 
@@ -548,11 +547,10 @@ def h_series_qf(a: HermitianMatrix, order: int) -> FormalSeries:
     constant term zero."""
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
+    grids = _int_grids(a)
     coeffs = [Fraction(0)]
-    u = _ones(a.n)
-    for _ in range(order):
-        u = _row_times_grid(u, a.entries)
-        coeffs.append(_require_real(_vec_total(u), "Tr(J A^k)"))
+    for k, u in enumerate(islice(_powers(grids), 1, order + 1), 1):
+        coeffs.append(_require_real(_total(u, grids[2] ** k), "Tr(J A^k)"))
     return FormalSeries(coeffs)
 
 
@@ -562,10 +560,9 @@ def poisson_qf_check(a: HermitianMatrix, rate, jump, order: int) -> bool:
         raise DomainError(f"order must be positive, got {order}")
     rate = Fraction(rate)
     jump = Fraction(jump)
-    u = _ones(a.n)
-    for k in range(1, order + 1):
-        u = _row_times_grid(u, a.entries)
-        if _require_real(_vec_total(u), f"Tr(J A^{k})") != rate * jump**k:
+    grids = _int_grids(a)
+    for k, u in enumerate(islice(_powers(grids), 1, order + 1), 1):
+        if _require_real(_total(u, grids[2] ** k), f"Tr(J A^{k})") != rate * jump**k:
             return False
     return True
 
@@ -578,14 +575,12 @@ def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
     """
     if kmax_even < 2 or kmax_even % 2:
         raise DomainError(f"kmax_even must be an even number >= 2, got {kmax_even}")
-    diag = a.diagonal()
+    grids = _int_grids(a)
+    g = [grids[0][i][i] for i in range(a.n)]  # the real diagonal, over den
     for m in range(0, kmax_even + 1, 2):
-        w = tuple(_gr_pow(d, m) for d in diag)
-        u = _row_times_grid(w, a.entries)
-        probe = GR_ZERO
-        for x, y in zip(u, w):
-            probe = probe + x * y
-        if probe:
+        w = [x**m for x in g]
+        u_re, u_im = _matvec((w, [0] * a.n), grids)
+        if _dot(u_re, w) or _dot(u_im, w):
             return False
     return True
 

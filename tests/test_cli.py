@@ -2,13 +2,23 @@
 deterministic bytes, and the documented exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from bqf.cli import ORACLE_CHECK_MAX_ORDER, PARTITIONS_MAX_N, main, run
+import bqf
+from bqf.cli import (
+    H_SERIES_MAX_ORDER,
+    INDEPENDENCE_MAX_K,
+    ORACLE_CHECK_MAX_ORDER,
+    PARTITIONS_MAX_N,
+    QF_MAX_ORDER,
+    main,
+    run,
+)
 from bqf.matrices import (
     HermitianMatrix,
     build_special,
@@ -448,8 +458,11 @@ def test_exit_code_on_domain_error(capsys):
     assert err.startswith("error:")
 
 
-def test_exponential_arguments_are_bounded_up_front(capsys):
-    # each bound is probed at limit + 1 only; it refuses before any work
+def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
+    # each bound is probed at limit + 1 only; it refuses before any work.
+    # The Krylov lengths are bounded too: I - P is independent of itself,
+    # so an unbounded --k scan would run to the end.
+    c3 = matrix_files["centering3"]
     cases = [
         (["partitions", "enumerate", "--n", str(PARTITIONS_MAX_N + 1)], "--n"),
         (
@@ -462,6 +475,36 @@ def test_exponential_arguments_are_bounded_up_front(capsys):
                 str(ORACLE_CHECK_MAX_ORDER + 1),
             ],
             "--order",
+        ),
+        (
+            [
+                "cumulants",
+                "qf",
+                "--matrix",
+                c3,
+                "--dist",
+                "poisson:lambda=1,alpha=1",
+                "--order",
+                str(QF_MAX_ORDER + 1),
+            ],
+            "--order",
+        ),
+        (
+            ["matrix", "h-series", "--matrix", c3, "--order", str(H_SERIES_MAX_ORDER + 1)],
+            "--order",
+        ),
+        (
+            [
+                "matrix",
+                "independence",
+                "--matrix",
+                c3,
+                "--matrix",
+                c3,
+                "--k",
+                str(INDEPENDENCE_MAX_K + 1),
+            ],
+            "--k",
         ),
     ]
     for argv, flag in cases:
@@ -482,12 +525,15 @@ def test_exit_code_on_usage_error(capsys):
 
 
 def test_main_entry_point_subprocess():
+    # the child imports the same bqf as this process, installed or not
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-c",
          "from bqf.cli import main; raise SystemExit(main("
          "['partitions', 'enumerate', '--n', '2', '--format', 'plain']))"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "cuts  blocks"

@@ -6,6 +6,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from bqf.matrices import (
     CONTRIBUTIONS_MAX_ORDER,
     GaussianRational,
     HermitianMatrix,
+    IndependenceResult,
     build_special,
     h_series_qf,
     independence_check,
@@ -365,8 +367,8 @@ SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def hermitian_matrices(draw, max_n, complex_entries=True):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def hermitian_matrices(draw, max_n, complex_entries=True, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = GaussianRational(draw(SMALL_RATIONALS))
@@ -412,6 +414,58 @@ def test_qf_cumulant_general_matches_polynomial_oracle_property(a, r, values):
     assert qf_cumulant_general(a, fam, r) == element_cumulants(poly, fam, r).k(r)
 
 
+def _grid_total(entries):
+    return sum((e for row in entries for e in row), GaussianRational(0))
+
+
+def _ones_times(x, y):
+    """The row vector 1^T X Y for entry grids X and Y, in GaussianRational."""
+    zero = GaussianRational(0)
+    cols = [sum(col, zero) for col in zip(*x)]
+    return [sum(map(mul, cols, col), zero) for col in zip(*y)]
+
+
+def _brute_witness(a, b, kmax):
+    """The J A^k B scan of independence_check, from matrix powers."""
+    for k in range(1, (1 if a.n == 2 else kmax) + 1):
+        if any(_ones_times(_matrix_power(a, k).entries, b.entries)):
+            return IndependenceResult(False, k, "AB")
+        if any(_ones_times(_matrix_power(b, k).entries, a.entries)):
+            return IndependenceResult(False, k, "BA")
+    return IndependenceResult(True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=6),
+    i=st.integers(min_value=1, max_value=2),
+    j=st.integers(min_value=1, max_value=2),
+)
+def test_krylov_kernel_matches_gaussian_rational_powers_property(data, n, k, i, j):
+    # the integer kernel against sums of GaussianRational matrix powers; the
+    # scalings give the two matrices different denominators, and the mixed
+    # word A^i B^j A^i (a palindrome, so its trace is real) repeats A, so
+    # each power of its denominator counts
+    a = matrix_scale(data.draw(hermitian_matrices(max_n=n, min_n=n)), F(1, 5))
+    b = matrix_scale(data.draw(hermitian_matrices(max_n=n, min_n=n)), F(1, 7))
+    totals = [_grid_total(_matrix_power(a, m).entries) for m in range(k + 1)]
+    for m in range(k + 1):
+        value = trace_J_power(a, m)
+        assert type(value) is F and GaussianRational(value) == totals[m]
+    assert tuple(map(GaussianRational, h_series_qf(a, k).coeffs)) == (
+        GaussianRational(0),
+        *totals[1:],
+    )
+    ai = _matrix_power(a, i).entries
+    head = _ones_times(ai, _matrix_power(b, j).entries)
+    word = sum((x * y for x, row in zip(head, ai) for y in row), GaussianRational(0))
+    value = mixed_qf_cumulant([a] * i + [b] * j + [a] * i)
+    assert type(value) is F and GaussianRational(value) == word
+    assert independence_check(a, b, kmax=k) == _brute_witness(a, b, k)
+
+
 def test_qf_dp_integer_kernel_edge_cases():
     seq = custom_sequence([F(2, 3), F(-1), F(5, 7), F(3), F(-2, 5), F(1), F(4), F(-1, 9)])
     huge = 2**61 - 1  # prime, like the other denominators below
@@ -432,6 +486,15 @@ def test_qf_dp_integer_kernel_edge_cases():
             value = qf_cumulant_iid(a, seq, r).value
             assert type(value) is F
             assert value == qf_cumulant_hadamard(a, seq, r)
+        # the Krylov functions on the same integer kernel
+        totals = [_grid_total(_matrix_power(a, k).entries) for k in range(5)]
+        for k in range(5):
+            assert GaussianRational(trace_J_power(a, k)) == totals[k]
+        assert h_series_qf(a, 4).coeffs == (0, *(t.re for t in totals[1:]))
+        assert GaussianRational(mixed_qf_cumulant([a, a, a])) == totals[3]
+        assert independence_check(a, a, kmax=3) == _brute_witness(a, a, 3)
+        row_sums = [sum(row, GaussianRational(0)) for row in a.entries]
+        assert zero_sum_checks(a).is_zero_row_sum == (not any(row_sums))
     for r in range(1, 5):
         assert qf_cumulant_iid(cases[1], seq, r).value == 0
         assert qf_cumulant_iid(cases[0], seq, r).value == element_cumulants(
