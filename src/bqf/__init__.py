@@ -9,11 +9,11 @@ Subpackages, one concern each:
   cumulants, scalar shifts, distribution presets.
 - series: exact rational power series, tangent/zigzag numbers, tangent
   polynomials, the limit generating functions.
-- matrices: Hermitian matrices over Gaussian rationals, the quadratic-form
-  cumulant engine (one composition DP for shared and per-variable
-  families; per-partition enumeration and the Hadamard-factored route as
-  oracles), trace identities, independence and zero-row-sum diagnostics,
-  all on one Python-int matvec kernel except the Hadamard oracle.
+- matrices: Hermitian matrices as integer grids over one denominator, the
+  quadratic-form cumulant engine (one composition DP for shared and
+  per-variable families; per-partition enumeration and the Hadamard route
+  as oracles, which read a GaussianRational view), trace identities,
+  independence and zero-row-sum diagnostics, on one Python-int kernel.
 - stats: symmetrized products, sample variance, shifted sums of squares,
   and the compact closed form for shifted Gaussian sums.
 - measure: the atomic measure with tangent-root atoms, its self-energy and

@@ -31,9 +31,11 @@ from .rationals import format_rational, parse_rational, parse_rational_list
 
 # Bounds on arguments whose cost grows exponentially, checked before any
 # work starts: enumerate lists 2^(n-1) partitions, and the oracle expands
-# the quadratic form's powers word by word.
+# the quadratic form's powers word by word (shifted-sos too); a sampled
+# 8 x 8 matrix meets the expansion cap within about a second.
 PARTITIONS_MAX_N = 16
 ORACLE_CHECK_MAX_ORDER = 12
+ORACLE_CHECK_MAX_N = 8
 # Bounds on Krylov lengths, also checked up front: each power 1^T A^k is
 # one more matvec on integers that grow with k, so the cost is about
 # quadratic in the length; an independent pair never stops a --k scan
@@ -41,6 +43,14 @@ ORACLE_CHECK_MAX_ORDER = 12
 QF_MAX_ORDER = 64
 H_SERIES_MAX_ORDER = 512
 INDEPENDENCE_MAX_K = 512
+# Bounds on the series orders and atom counts, each a few seconds at most
+# at its limit: exact rationals grow with the order, and every atom pair
+# costs a root and its share of one JSON document in memory.
+LIMIT_MAX_ORDER = 64
+APPROX_MAX_K = 64
+STATS_MAX_ORDER = 1000
+MEASURE_MAX_PAIRS = 20_000
+MOMENTS_MAX_ORDER = 200
 
 
 def _check_bound(flag: str, value, limit: int):
@@ -118,11 +128,6 @@ def _single_n(parser, args) -> int:
     return args.n[0]
 
 
-def _family_from_dist(dist: str, order: int, n: int):
-    seq = cm.parse_distribution(dist, order)
-    return seq, cm.constant_family(seq, n)
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -171,6 +176,7 @@ def _cmd_cumulants_oracle_check(parser, args):
         source = args.matrix[0]
     else:
         n = args.n[0] if args.n else 2
+        _check_bound("--n", n, ORACLE_CHECK_MAX_N)
         rng = random.Random(args.seed)
         matrix = mx.random_hermitian(rng, n, complex_entries=False)
         source = f"sampled(seed={args.seed})"
@@ -293,6 +299,7 @@ def _cmd_matrix_h_series(parser, args):
 
 def _cmd_stats_sample_variance(parser, args):
     n = _single_n(parser, args)
+    _check_bound("--order", args.order, STATS_MAX_ORDER)
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [st.sample_variance_cumulant(n, seq, r) for r in range(1, args.order + 1)]
     payload = {"n": n, "dist": args.dist, "order": args.order, "cumulants": values}
@@ -301,6 +308,7 @@ def _cmd_stats_sample_variance(parser, args):
 
 
 def _cmd_stats_shifted_sos(parser, args):
+    _check_bound("--order", args.order, ORACLE_CHECK_MAX_ORDER)
     shifts = st.ShiftVector(parse_rational_list(args.shifts))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, len(shifts.shifts))
@@ -319,6 +327,7 @@ def _cmd_stats_shifted_sos(parser, args):
 
 
 def _cmd_stats_symmetrized(parser, args):
+    _check_bound("--order", args.order, STATS_MAX_ORDER)
     form = st.LinearFormSpec(parse_rational_list(args.weights))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [
@@ -337,6 +346,7 @@ def _cmd_stats_symmetrized(parser, args):
 def _cmd_limit_tangent(parser, args):
     if args.n is None:
         parser.error("--n is required")
+    _check_bound("--order", args.order, LIMIT_MAX_ORDER)
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     rows = ms.tangent_convergence(a, b, args.n, args.order)
@@ -367,6 +377,7 @@ def _cmd_approx(kind):
     def handler(parser, args):
         if args.n is None:
             parser.error("--n is required")
+        _check_bound("--k", args.k, APPROX_MAX_K)
         results = [ms.zeta_zigzag_approx(kind, args.k, n) for n in args.n]
         payload = {
             "kind": kind,
@@ -399,18 +410,22 @@ def _atoms_payload(args, measure, extra: dict):
 
 
 def _cmd_measure_atoms(parser, args):
+    _check_bound("--pairs", args.pairs, MEASURE_MAX_PAIRS)
     measure = ms.tangent_atoms(args.pairs)
     _atoms_payload(args, measure, {"pairs": args.pairs})
     return 0
 
 
 def _cmd_measure_levy(parser, args):
+    _check_bound("--terms", args.terms, MEASURE_MAX_PAIRS)
     measure = ms.levy_atoms(args.terms)
     _atoms_payload(args, measure, {"terms": args.terms})
     return 0
 
 
 def _cmd_measure_moments(parser, args):
+    _check_bound("--pairs", args.pairs, MEASURE_MAX_PAIRS)
+    _check_bound("--order", args.order, MOMENTS_MAX_ORDER)
     measure = ms.tangent_atoms(args.pairs)
     rows = ms.moment_consistency(measure, args.order)
     payload = {

@@ -17,12 +17,14 @@ above CONTRIBUTIONS_MAX_ORDER) and qf_cumulant_hadamard, which reaches the
 same numbers along a structurally different route (projector closures and
 entrywise products) in GaussianRational arithmetic of its own.
 
-All trace functionals against the all-ones matrix J are computed as
-1^T A^k 1 by vector iteration on one integer kernel: A as integer (re, im)
-columns over one denominator (_int_grids), one row-vector product
-(_matvec) and the powers 1^T A^k (_powers).  No matrix power is formed,
-one Fraction is built per result, and every chain outside
-qf_cumulant_hadamard runs on this kernel, _qf_dp included.
+A HermitianMatrix stores its columns as integer (re, im) grids over one
+denominator, the lcm of its entries' denominators.  All trace functionals
+against the all-ones matrix J are computed as 1^T A^k 1 by vector
+iteration on those grids: one row-vector product (_matvec) and the powers
+1^T A^k (_powers).  No matrix power is formed, one Fraction is built per
+result, and every chain outside qf_cumulant_hadamard runs on this kernel,
+_qf_dp included.  GaussianRational entries (HermitianMatrix.entries) are a
+view built on demand for the oracles and the JSON writer.
 """
 
 import json
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
@@ -90,31 +92,63 @@ GR_ONE = GaussianRational(1, 0)
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A self-adjoint square matrix of GaussianRational entries."""
+    """A self-adjoint square matrix with Gaussian-rational entries.
+
+    Column j is stored as the integer tuples re[j] and im[j] over den, the
+    lcm of the entries' denominators, so equal matrices have equal fields.
+    HermitianMatrix(entries) takes rows of GaussianRational, Fraction or
+    int.  entries is the GaussianRational view, row by row, built on first
+    access; the integer kernel never reads it.
+    """
 
     n: int
-    entries: tuple
+    re: tuple
+    im: tuple
+    den: int
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_gaussian(e) for e in row) for row in entries)
+        rows = [
+            [(e.re, e.im) if isinstance(e, GaussianRational) else (Fraction(e), 0) for e in row]
+            for row in entries
+        ]
         n = len(rows)
         if n < 1:
             raise DomainError("matrix must have at least one row")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise DomainError(f"row {i + 1} has {len(row)} entries, expected {n}")
+        den = lcm(*(x.denominator for row in rows for e in row for x in e))
+        re = [[x.numerator * (den // x.denominator) for x, _ in row] for row in rows]
+        im = [[y.numerator * (den // y.denominator) for _, y in row] for row in rows]
         for i in range(n):
             for j in range(i, n):
-                if rows[i][j] != rows[j][i].conjugate():
+                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
                     raise HermitianError(
                         f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                         "are not conjugate"
                     )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        # column i is the conjugate of row i
+        self._store(re, [[-y for y in row] for row in im], den)
 
-    def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(self.n))
+    def _store(self, re, im, den):
+        """Set the fields from integer columns (re, im) over den, reduced."""
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        re, im = (tuple(tuple(x // g for x in col) for col in grid) for grid in (re, im))
+        for name, value in zip(("n", "re", "im", "den"), (len(re), re, im, den // g)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _of_grids(cls, re, im, den):
+        return object.__new__(cls)._store(re, im, den)
+
+    @cached_property
+    def entries(self) -> tuple:
+        d = self.den
+        return tuple(
+            tuple(GaussianRational(Fraction(x, d), Fraction(-y, d)) for x, y in zip(cr, ci))
+            for cr, ci in zip(self.re, self.im)
+        )
 
 
 def build_special(kind: str, n: int) -> HermitianMatrix:
@@ -122,102 +156,79 @@ def build_special(kind: str, n: int) -> HermitianMatrix:
     imaginary, +i/n above the diagonal), identity."""
     if n < 1:
         raise DomainError(f"size must be positive, got {n}")
+    ones, zeros = ((1,) * n,) * n, ((0,) * n,) * n
     if kind == "J":
-        return HermitianMatrix([[1] * n for _ in range(n)])
+        return HermitianMatrix._of_grids(ones, zeros, 1)
     if kind == "P":
-        q = Fraction(1, n)
-        return HermitianMatrix([[q] * n for _ in range(n)])
+        return HermitianMatrix._of_grids(ones, zeros, n)
     if kind == "B":
-        q = Fraction(1, n)
-        rows = [
-            [
-                GaussianRational(0, q if j < k else -q) if j != k else GR_ZERO
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        return HermitianMatrix(rows)
+        cols = [[(j < k) - (j > k) for j in range(n)] for k in range(n)]
+        return HermitianMatrix._of_grids(zeros, cols, n)
     if kind == "identity":
-        return HermitianMatrix([[1 if j == k else 0 for k in range(n)] for j in range(n)])
+        cols = [[int(j == k) for j in range(n)] for k in range(n)]
+        return HermitianMatrix._of_grids(cols, zeros, 1)
     raise DomainError(f"unknown special matrix {kind!r}, expected J, P, B or identity")
 
 
 def matrix_add(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     if a.n != b.n:
         raise DomainError(f"sizes differ: {a.n} vs {b.n}")
-    return HermitianMatrix(
-        [
-            [a.entries[i][j] + b.entries[i][j] for j in range(a.n)]
-            for i in range(a.n)
-        ]
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    re, im = (
+        [[p * fa + q * fb for p, q in zip(cx, cy)] for cx, cy in zip(x, y)]
+        for x, y in ((a.re, b.re), (a.im, b.im))
     )
+    return HermitianMatrix._of_grids(re, im, den)
 
 
 def matrix_scale(a: HermitianMatrix, c) -> HermitianMatrix:
     """Scale by a real scalar (a complex one would break self-adjointness)."""
     c = Fraction(c)
-    return HermitianMatrix([[e * c for e in row] for row in a.entries])
+    re, im = ([[x * c.numerator for x in col] for col in grid] for grid in (a.re, a.im))
+    return HermitianMatrix._of_grids(re, im, a.den * c.denominator)
 
 
-def _matmul(x, y, n: int):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = GR_ZERO
-            for k in range(n):
-                e = x[i][k]
-                if e:
-                    f = y[k][j]
-                    if f:
-                        acc = acc + e * f
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _matmul(x, y):
+    cols = tuple(zip(*y))
+    return tuple(
+        tuple(sum((e * f for e, f in zip(row, col) if e and f), GR_ZERO) for col in cols)
+        for row in x
+    )
 
 
-def _require_real(value: GaussianRational, what: str):
-    if value.im:
-        raise AssertionError(f"{what} should be real, got imaginary part {value.im}")
-    return value.re
-
-
-def _int_grids(a: HermitianMatrix):
-    """The columns of A as integer (re, im) grids over one denominator."""
-    den = lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
-    cols = list(zip(*a.entries))
-    re = [[e.re.numerator * (den // e.re.denominator) for e in col] for col in cols]
-    im = [[e.im.numerator * (den // e.im.denominator) for e in col] for col in cols]
-    return re, im, den
+def _require_real(re, im, den: int, what: str) -> Fraction:
+    """re/den, once the imaginary part im/den is checked to be zero."""
+    if im:
+        raise AssertionError(f"{what} should be real, got imaginary part {Fraction(im, den)}")
+    return Fraction(re, den)
 
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _matvec(u, grids):
-    """The row vector u A, for u an integer (re, im) pair and grids from
-    _int_grids; the result carries one more factor of their denominator."""
+def _matvec(u, a: HermitianMatrix):
+    """The row vector u A, for u an integer (re, im) pair; the result
+    carries one more factor of a.den."""
     u_re, u_im = u
-    re, im, _ = grids
     return (
-        [_dot(u_re, cr) - _dot(u_im, ci) for cr, ci in zip(re, im)],
-        [_dot(u_re, ci) + _dot(u_im, cr) for cr, ci in zip(re, im)],
+        [_dot(u_re, cr) - _dot(u_im, ci) for cr, ci in zip(a.re, a.im)],
+        [_dot(u_re, ci) + _dot(u_im, cr) for cr, ci in zip(a.re, a.im)],
     )
 
 
-def _powers(grids):
+def _powers(a: HermitianMatrix):
     """The row vectors 1^T A^k for k = 0, 1, 2, ...; the k-th is over den^k."""
-    n = len(grids[0])
-    u = ([1] * n, [0] * n)
+    u = ([1] * a.n, [0] * a.n)
     while True:
         yield u
-        u = _matvec(u, grids)
+        u = _matvec(u, a)
 
 
-def _total(u, den) -> GaussianRational:
-    """The sum of the entries of an integer (re, im) vector over den."""
-    return GaussianRational(Fraction(sum(u[0]), den), Fraction(sum(u[1]), den))
+def _real_total(u, den: int, what: str) -> Fraction:
+    """The sum of an integer (re, im) vector over den, checked real."""
+    return _require_real(sum(u[0]), sum(u[1]), den, what)
 
 
 def trace_J_power(a: HermitianMatrix, k: int):
@@ -225,9 +236,8 @@ def trace_J_power(a: HermitianMatrix, k: int):
     self-adjoint input."""
     if k < 0:
         raise DomainError(f"power must be nonnegative, got {k}")
-    grids = _int_grids(a)
-    u = next(islice(_powers(grids), k, None))
-    return _require_real(_total(u, grids[2] ** k), f"Tr(J A^{k})")
+    u = next(islice(_powers(a), k, None))
+    return _real_total(u, a.den**k, f"Tr(J A^{k})")
 
 
 def omega_moment(a: HermitianMatrix, m: int):
@@ -252,13 +262,12 @@ class ZeroSumReport:
 
 def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
     n = a.n
-    powers = islice(_powers(_int_grids(a)), 1, 2 * n + 1)
+    powers = islice(_powers(a), 1, 2 * n + 1)
     first = next(powers)  # 1^T A: the row sums, conjugated
     row_sums_zero = not any(map(any, first))
     ja2_zero = not trace_J_power(a, 2)
     upto = not any(sum(re) or sum(im) for re, im in chain([first], powers))
-    diag = a.diagonal()
-    constant = all(d == diag[0] for d in diag)
+    constant = all(a.re[i][i] == a.re[0][0] for i in range(n))
     if not (row_sums_zero == ja2_zero == upto):
         raise AssertionError(
             "zero-sum diagnostics disagree: "
@@ -321,9 +330,8 @@ def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
             f"per-partition contributions stop at order {CONTRIBUTIONS_MAX_ORDER}; "
             f"order {r} has {2**r} partitions"
         )
-    n = a.n
-    grids = _int_grids(a)
-    g = [grids[0][i][i] for i in range(n)]
+    n, d = a.n, a.den**r
+    g = [a.re[i][i] for i in range(n)]
     gpow = [[x**s for x in g] for s in range(r + 1)]
     shares = []
     for pi in enumerate_interval(r + 1):
@@ -336,9 +344,10 @@ def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
         for s in sizes[1:]:
             if not any(map(any, u)):
                 break
-            u_re, u_im = _matvec(u, grids)
+            u_re, u_im = _matvec(u, a)
             u = (list(map(mul, u_re, gpow[s - 1])), list(map(mul, u_im, gpow[s - 1])))
-        shares.append((pi, _total(u, grids[2] ** r) * weight))
+        total = GaussianRational(Fraction(sum(u[0]), d), Fraction(sum(u[1]), d))
+        shares.append((pi, total * weight))
     return tuple(shares)
 
 
@@ -360,12 +369,10 @@ def _qf_dp(a: HermitianMatrix, kvec, r: int):
     over dK^j dA^(j-1) and dK^j dA^j, and one Fraction is built at the end.
     """
     n = a.n
-    grids = _int_grids(a)
-    re, _, da = grids
     ks = [[Fraction(k) for k in kvec(m)] for m in range(1, 2 * r + 1)]
     dk = lcm(*(k.denominator for row in ks for k in row))
     kint = [None] + [[k.numerator * (dk // k.denominator) for k in row] for row in ks]
-    g = [re[i][i] * dk for i in range(n)]
+    g = [a.re[i][i] * dk for i in range(n)]
     gpow = [[1] * n]
     for _ in range(r):
         gpow.append(list(map(mul, gpow[-1], g)))
@@ -387,14 +394,22 @@ def _qf_dp(a: HermitianMatrix, kvec, r: int):
                 w_re, w_im = w[j - s]
                 v_re = [x + y * z for x, y, z in zip(v_re, w_re, f)]
                 v_im = [x + y * z for x, y, z in zip(v_im, w_im, f)]
-        w.append(_matvec((v_re, v_im), grids))
+        w.append(_matvec((v_re, v_im), a))
     for s in range(1, r + 1):
         w_re, w_im = w[r + 1 - s]
         total_re += _dot(w_re, edge[s])
         total_im += _dot(w_im, edge[s])
-    den = dk ** (r + 1) * da**r
-    total = GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
-    return _require_real(total, f"K_{r} of the quadratic form")
+    den = dk ** (r + 1) * a.den**r
+    return _require_real(total_re, total_im, den, f"K_{r} of the quadratic form")
+
+
+def _check_iid_order(seq, r: int):
+    if r < 1:
+        raise DomainError(f"cumulant order must be positive, got {r}")
+    if seq.order < 2 * r:
+        raise OrderShortfallError(
+            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
+        )
 
 
 def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
@@ -403,12 +418,7 @@ def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
     The value comes from the composition DP (_qf_dp); the report's
     per-partition contributions are left to the enumeration oracle.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
-    if seq.order < 2 * r:
-        raise OrderShortfallError(
-            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
-        )
+    _check_iid_order(seq, r)
     value = _qf_dp(a, lambda m: (seq.k(m),) * a.n, r)
     return QFCumulantReport(r, value, a, seq)
 
@@ -447,16 +457,11 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
     itself (_matmul), so its arithmetic shares nothing with the integer
     kernel (_matvec) that every other chain here runs on.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
-    if seq.order < 2 * r:
-        raise OrderShortfallError(
-            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
-        )
+    _check_iid_order(seq, r)
     n = a.n
     jgrid = tuple((GR_ONE,) * n for _ in range(n))
     agrid = a.entries
-    diag = a.diagonal()
+    diag = [agrid[i][i] for i in range(n)]
     total = GR_ZERO
     for pi in enumerate_interval(r + 1):
         weight = _lifted_cumulant_weight(seq, pi)
@@ -478,12 +483,10 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
                 tuple(grid[i][j] * tvecs[m - 1][j] for j in range(n))
                 for i in range(n)
             )
-            grid = _matmul(scaled, agrid, n)
-        share = GR_ZERO
-        for i in range(n):
-            share = share + grid[i][i] * tvecs[-1][i]
+            grid = _matmul(scaled, agrid)
+        share = sum((grid[i][i] * tvecs[-1][i] for i in range(n)), GR_ZERO)
         total = total + share * weight
-    return _require_real(total, f"K_{r} of the quadratic form")
+    return _require_real(total.re, total.im, 1, f"K_{r} of the quadratic form")
 
 
 def mixed_qf_cumulant(mats) -> object:
@@ -498,10 +501,9 @@ def mixed_qf_cumulant(mats) -> object:
     u = ([1] * n, [0] * n)
     den = 1
     for m in mats:
-        grids = _int_grids(m)
-        u = _matvec(u, grids)
-        den *= grids[2]
-    return _require_real(_total(u, den), "mixed quadratic-form cumulant")
+        u = _matvec(u, m)
+        den *= m.den
+    return _real_total(u, den, "mixed quadratic-form cumulant")
 
 
 @dataclass(frozen=True)
@@ -532,12 +534,11 @@ def independence_check(
         raise DomainError(f"kmax must be positive, got {kmax}")
     if n == 2:
         kmax = 1
-    ga, gb = _int_grids(a), _int_grids(b)
-    pa, pb = islice(_powers(ga), 1, None), islice(_powers(gb), 1, None)
+    pa, pb = islice(_powers(a), 1, None), islice(_powers(b), 1, None)
     for k, ua, ub in zip(range(1, kmax + 1), pa, pb):
-        if any(map(any, _matvec(ua, gb))):
+        if any(map(any, _matvec(ua, b))):
             return IndependenceResult(False, k, "AB")
-        if any(map(any, _matvec(ub, ga))):
+        if any(map(any, _matvec(ub, a))):
             return IndependenceResult(False, k, "BA")
     return IndependenceResult(True)
 
@@ -547,10 +548,9 @@ def h_series_qf(a: HermitianMatrix, order: int) -> FormalSeries:
     constant term zero."""
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    grids = _int_grids(a)
     coeffs = [Fraction(0)]
-    for k, u in enumerate(islice(_powers(grids), 1, order + 1), 1):
-        coeffs.append(_require_real(_total(u, grids[2] ** k), "Tr(J A^k)"))
+    for k, u in enumerate(islice(_powers(a), 1, order + 1), 1):
+        coeffs.append(_real_total(u, a.den**k, "Tr(J A^k)"))
     return FormalSeries(coeffs)
 
 
@@ -560,9 +560,8 @@ def poisson_qf_check(a: HermitianMatrix, rate, jump, order: int) -> bool:
         raise DomainError(f"order must be positive, got {order}")
     rate = Fraction(rate)
     jump = Fraction(jump)
-    grids = _int_grids(a)
-    for k, u in enumerate(islice(_powers(grids), 1, order + 1), 1):
-        if _require_real(_total(u, grids[2] ** k), f"Tr(J A^{k})") != rate * jump**k:
+    for k, u in enumerate(islice(_powers(a), 1, order + 1), 1):
+        if _real_total(u, a.den**k, f"Tr(J A^{k})") != rate * jump**k:
             return False
     return True
 
@@ -575,11 +574,10 @@ def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
     """
     if kmax_even < 2 or kmax_even % 2:
         raise DomainError(f"kmax_even must be an even number >= 2, got {kmax_even}")
-    grids = _int_grids(a)
-    g = [grids[0][i][i] for i in range(a.n)]  # the real diagonal, over den
+    g = [a.re[i][i] for i in range(a.n)]  # the real diagonal, over den
     for m in range(0, kmax_even + 1, 2):
         w = [x**m for x in g]
-        u_re, u_im = _matvec((w, [0] * a.n), grids)
+        u_re, u_im = _matvec((w, [0] * a.n), a)
         if _dot(u_re, w) or _dot(u_im, w):
             return False
     return True
@@ -588,10 +586,7 @@ def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
 def matrix_to_json_obj(a: HermitianMatrix) -> dict:
     return {
         "n": a.n,
-        "entries": [
-            [[str(Fraction(e.re)), str(Fraction(e.im))] for e in row]
-            for row in a.entries
-        ],
+        "entries": [[[str(e.re), str(e.im)] for e in row] for row in a.entries],
     }
 
 

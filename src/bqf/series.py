@@ -81,11 +81,6 @@ def _coerce(value, order: int) -> FormalSeries:
     return FormalSeries((Fraction(value),) + (Fraction(0),) * order)
 
 
-def _shift_up(series: FormalSeries) -> FormalSeries:
-    """Multiply by z, keeping the truncation order."""
-    return FormalSeries((Fraction(0),) + series.coeffs[: series.order])
-
-
 def _shift_down(series: FormalSeries) -> FormalSeries:
     """Divide by z; the constant term must vanish."""
     if series.coeffs[0]:

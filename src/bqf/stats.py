@@ -17,7 +17,7 @@ from .cumulants import (
     element_cumulants,
 )
 from .errors import DomainError, OrderShortfallError
-from .matrices import GaussianRational, HermitianMatrix, qf_cumulant_iid
+from .matrices import HermitianMatrix, qf_cumulant_iid
 from .partitions import enumerate_interval, lift_matching
 
 
@@ -95,10 +95,7 @@ def symmetrized_square_cumulant(form: LinearFormSpec, seq: CumulantSequence, r: 
         # (n-2)! sum_{i != j} w_i w_j = -(n-2)! sum w^2 for centered weights.
         dval = math.factorial(n - 1) * ssq
         oval = -math.factorial(n - 2) * ssq
-        grid = [
-            [GaussianRational(dval if i == j else oval, 0) for j in range(n)]
-            for i in range(n)
-        ]
+        grid = [[dval if i == j else oval for j in range(n)] for i in range(n)]
         engine = qf_cumulant_iid(HermitianMatrix(grid), seq, r).value
         if engine != value:
             raise AssertionError(
@@ -125,10 +122,7 @@ def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
     value = n * (1 - Fraction(1, n)) ** r * seq.k(2 * r)
     if n <= 4 and r <= 4:
         q = Fraction(1, n)
-        grid = [
-            [GaussianRational((1 if i == j else 0) - q, 0) for j in range(n)]
-            for i in range(n)
-        ]
+        grid = [[(1 if i == j else 0) - q for j in range(n)] for i in range(n)]
         engine = qf_cumulant_iid(HermitianMatrix(grid), seq, r).value
         if engine != value:
             raise AssertionError(

@@ -11,11 +11,17 @@ import pytest
 
 import bqf
 from bqf.cli import (
+    APPROX_MAX_K,
     H_SERIES_MAX_ORDER,
     INDEPENDENCE_MAX_K,
+    LIMIT_MAX_ORDER,
+    MEASURE_MAX_PAIRS,
+    MOMENTS_MAX_ORDER,
+    ORACLE_CHECK_MAX_N,
     ORACLE_CHECK_MAX_ORDER,
     PARTITIONS_MAX_N,
     QF_MAX_ORDER,
+    STATS_MAX_ORDER,
     main,
     run,
 )
@@ -505,6 +511,38 @@ def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
                 str(INDEPENDENCE_MAX_K + 1),
             ],
             "--k",
+        ),
+    ]
+    # the series orders and atom counts: a few seconds each at the limit,
+    # a hang, a traceback or an out-of-memory crash well above it
+    dist = ["--dist", "gaussian:c=1,v=2"]
+    pairs, order = str(MEASURE_MAX_PAIRS + 1), str(MOMENTS_MAX_ORDER + 1)
+    cases += [
+        (["measure", "atoms", "--pairs", pairs], "--pairs"),
+        (["measure", "moments", "--pairs", pairs, "--order", "2"], "--pairs"),
+        (["measure", "moments", "--pairs", "2", "--order", order], "--order"),
+        (["measure", "levy", "--terms", pairs], "--terms"),
+        (
+            ["limit", "tangent", "--a", "0", "--b", "1", "--n", "4"]
+            + ["--order", str(LIMIT_MAX_ORDER + 1)],
+            "--order",
+        ),
+        (
+            ["cumulants", "oracle-check", *dist, "--order", "2"]
+            + ["--n", str(ORACLE_CHECK_MAX_N + 1)],
+            "--n",
+        ),
+    ]
+    for kind in ("zeta", "tangent", "zigzag"):
+        cases.append((["approx", kind, "--k", str(APPROX_MAX_K + 1), "--n", "4"], "--k"))
+    stats_order = ["--order", str(STATS_MAX_ORDER + 1)]
+    cases += [
+        (["stats", "sample-variance", "--n", "3", *dist, *stats_order], "--order"),
+        (["stats", "symmetrized", "--weights=1,-1", *dist, *stats_order], "--order"),
+        (
+            ["stats", "shifted-sos", "--shifts=1", *dist]
+            + ["--order", str(ORACLE_CHECK_MAX_ORDER + 1)],
+            "--order",
         ),
     ]
     for argv, flag in cases:

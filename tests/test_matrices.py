@@ -6,10 +6,11 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from math import lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bqf.cumulants import (
@@ -517,6 +518,45 @@ def test_qf_value_never_enumerates_partitions(monkeypatch):
         rep.contributions
 
 
+def test_integer_routes_never_build_gaussian_rationals(monkeypatch):
+    # outside the oracles, the entries view and input parsing, the matrix
+    # layer works on the integer grids alone
+    rng = random.Random(21)
+    a, c = random_hermitian(rng, 3), random_hermitian(rng, 3, complex_entries=False)
+    d = HermitianMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    seq = poisson_sequence(F(3, 2), F(2, 3), 8)
+
+    class Refused(GaussianRational):
+        def __init__(self, re=0, im=0):
+            raise RuntimeError("built a GaussianRational")
+
+    monkeypatch.setattr("bqf.matrices.GaussianRational", Refused)
+    b = build_special("B", 3)
+    for kind in ("J", "P", "identity"):
+        build_special(kind, 3)
+    s = matrix_add(matrix_scale(build_special("P", 3), F(1, 2)), b)
+    s = matrix_add(s, matrix_scale(build_special("identity", 3), F(-1, 6)))
+    for m in (a, b, c, s):
+        for k in range(4):
+            trace_J_power(m, k)
+            omega_moment(m, k)
+        h_series_qf(m, 4)
+        poisson_qf_check(m, 1, 1, 3)
+        zero_sum_checks(m)
+        lemma25_probe(m, 4)
+        for r in range(1, 4):
+            qf_cumulant_iid(m, seq, r).value
+            qf_cumulant_general(m, constant_family(seq, 3), r)
+    for x, y in itertools.product((a, b, c, s), repeat=2):
+        independence_check(x, y)
+    mixed_qf_cumulant([a, c, a])
+    with pytest.raises(AssertionError) as exc:
+        mixed_qf_cumulant([b, d])
+    assert str(exc.value) == (
+        "mixed quadratic-form cumulant should be real, got imaginary part 4/3"
+    )
+
+
 def test_qf_contributions_order_cap():
     a = identity_minus_projector(2)
     r = CONTRIBUTIONS_MAX_ORDER + 1
@@ -679,6 +719,26 @@ def test_matrix_json_roundtrip(tmp_path):
     assert obj["n"] == 2
     assert obj["entries"][0][1] == ["0", "1/2"]
     assert matrix_from_json_obj(obj).entries == build_special("B", 2).entries
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), a=hermitian_matrices(max_n=4), c=SMALL_RATIONALS)
+def test_integer_storage_matches_entries_property(tmp_path, data, a, c):
+    # the integer grids against the GaussianRational view, which is the oracle
+    path = tmp_path / "m.json"
+    save_matrix(a, path)
+    assert load_matrix(path) == a
+    assert HermitianMatrix(a.entries) == a
+    assert a.den == lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
+    b = data.draw(hermitian_matrices(max_n=a.n, min_n=a.n))
+    total = matrix_add(a, b)
+    want = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
+    assert total.entries == want and total == HermitianMatrix(want)
+    scaled = matrix_scale(a, c)
+    want = tuple(tuple(x * GaussianRational(c) for x in row) for row in a.entries)
+    assert scaled.entries == want and scaled == HermitianMatrix(want)
 
 
 def test_matrix_json_errors(tmp_path):
