@@ -736,9 +736,10 @@ def test_integer_storage_matches_entries_property(tmp_path, data, a, c):
     total = matrix_add(a, b)
     want = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
     assert total.entries == want and total == HermitianMatrix(want)
-    scaled = matrix_scale(a, c)
-    want = tuple(tuple(x * GaussianRational(c) for x in row) for row in a.entries)
-    assert scaled.entries == want and scaled == HermitianMatrix(want)
+    for k in (c, F(0), F(-3, 2)):
+        scaled = matrix_scale(a, k)
+        want = tuple(tuple(x * GaussianRational(k) for x in row) for row in a.entries)
+        assert scaled.entries == want and scaled == HermitianMatrix(want)
 
 
 def test_matrix_json_errors(tmp_path):
