@@ -12,6 +12,7 @@ inversion, grouped product cumulants, and the scalar shift rule all live
 here, together with the cumulant presets the command line accepts.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,11 +293,7 @@ def product_cumulant(grouping, word, family) -> Fraction:
     for v in set(word):
         if v not in family:
             raise DomainError(f"no cumulant sequence for variable {v}")
-    rho_cuts = set()
-    pos = 0
-    for g in grouping[:-1]:
-        pos += g
-        rho_cuts.add(pos)
+    rho_cuts = set(itertools.accumulate(grouping[:-1]))
     total = Fraction(0)
     for pi in enumerate_interval(m):
         if pi.cuts & rho_cuts:
@@ -366,15 +363,10 @@ def even_poisson_sequence(odd_values, order: int) -> CumulantSequence:
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    odds = [Fraction(v) for v in odd_values]
-    vals = []
-    for n in range(1, order + 1):
-        if n % 2 == 0:
-            vals.append(Fraction(1))
-        else:
-            j = (n - 1) // 2
-            vals.append(odds[j] if j < len(odds) else Fraction(0))
-    return CumulantSequence(vals)
+    odds = [Fraction(v) for v in odd_values] + [Fraction(0)] * order
+    return CumulantSequence(
+        [odds[(n - 1) // 2] if n % 2 else Fraction(1) for n in range(1, order + 1)]
+    )
 
 
 def custom_sequence(values) -> CumulantSequence:

@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
 from .partitions import closure_structure, enumerate_interval, lift_matching
-from .rationals import parse_rational
+from .rationals import format_rational, parse_rational
 from .series import FormalSeries
 
 
@@ -558,12 +558,8 @@ def poisson_qf_check(a: HermitianMatrix, rate, jump, order: int) -> bool:
     """Whether Tr(J A^k) = rate * jump^k for k = 1..order."""
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    rate = Fraction(rate)
-    jump = Fraction(jump)
-    for k, u in enumerate(islice(_powers(a), 1, order + 1), 1):
-        if _real_total(u, a.den**k, f"Tr(J A^{k})") != rate * jump**k:
-            return False
-    return True
+    traces = h_series_qf(a, order).coeffs[1:]
+    return all(t == Fraction(rate) * Fraction(jump) ** k for k, t in enumerate(traces, 1))
 
 
 def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
@@ -584,10 +580,8 @@ def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
 
 
 def matrix_to_json_obj(a: HermitianMatrix) -> dict:
-    return {
-        "n": a.n,
-        "entries": [[[str(e.re), str(e.im)] for e in row] for row in a.entries],
-    }
+    rows = [[[format_rational(x) for x in (e.re, e.im)] for e in row] for row in a.entries]
+    return {"n": a.n, "entries": rows}
 
 
 def matrix_from_json_obj(obj) -> HermitianMatrix:

@@ -12,6 +12,8 @@ The finite models never form an n x n matrix.  Every quantity they need is
 a trace Tr(P M^m) with M = aP + bB, read exactly off limit_mgf_series for
 any n; the convergence model's K_r is Tr(P S^r) with S = M - (a/n)I, a
 binomial sum of those traces.  Both are exact for every n and rounded once.
+The zeta targets are p-series partial sums taken exactly, by Euler-Maclaurin
+with a proven remainder bound, and correctly rounded.
 """
 
 import math
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .series import (
     FormalSeries,
+    _bernoulli_numbers,
     elementary_series,
     limit_h_series,
     limit_mgf_series,
@@ -79,10 +82,8 @@ class AtomicMeasure:
         negatives = {-loc: mass for loc, mass in self.atoms if loc < 0}
         parts = []
         for loc, mass in self.atoms:
-            if loc < 0:
-                continue
-            if loc == 0:
-                continue  # zero location contributes nothing for m >= 1
+            if loc <= 0:
+                continue  # negatives pair with their positive partner; zero adds nothing
             partner = negatives.pop(loc, None)
             if partner is None:
                 parts.append(mass * loc**m)
@@ -155,8 +156,7 @@ def tangent_atoms(pairs: int) -> AtomicMeasure:
         u = _tangent_root(m)
         x = 1.0 / u
         mass = x * x / (4.0 - x * x)
-        entries.append((x, mass))
-        entries.append((-x, mass))
+        entries += [(x, mass), (-x, mass)]
     entries.sort()
     return AtomicMeasure(entries)
 
@@ -173,8 +173,7 @@ def levy_atoms(terms: int) -> AtomicMeasure:
         n = 2 * j + 1
         x = 2.0 / (n * math.pi)
         mass = x**4 / (1.0 + x * x)
-        entries.append((x, mass))
-        entries.append((-x, mass))
+        entries += [(x, mass), (-x, mass)]
     entries.sort()
     return AtomicMeasure(entries)
 
@@ -302,31 +301,42 @@ def tangent_convergence(a, b, n_list, r_max: int) -> list:
 
 @lru_cache(maxsize=None)
 def _p_series_target(exponent: int) -> float:
-    """Direct p-series partial sum with terms above 1e-15, summed upward
-    from the smallest."""
-    bound = 10**15
-    top = int(round(float(bound) ** (1.0 / exponent)))
-    while (top + 1) ** exponent <= bound:
-        top += 1
-    while top**exponent > bound:
-        top -= 1
-    # Imported here, not at module load: no other bqf code needs numpy,
-    # and loading it costs every process about 14 MB and 0.15 s.
-    import numpy
+    """The sum of m^-p over m^p <= 1e15 (p = exponent), correctly rounded.
 
-    # One chunk-sized array at a time: the power is taken in place and
-    # the block is released before the next arange allocates.
-    chunk = 1 << 22
-    totals = []
-    hi = top
-    while hi >= 1:
-        lo = max(1, hi - chunk + 1)
-        block = numpy.arange(lo, hi + 1, dtype=numpy.float64)
-        numpy.power(block, float(-exponent), out=block)
-        totals.append(float(numpy.sum(block)))
-        del block
-        hi = lo - 1
-    return math.fsum(totals)
+    The terms m < 64 are added exactly; for p >= 10 they are the whole sum.
+    With f(x) = x^-p, the rest (m = 64..top) is Euler-Maclaurin in
+    Fractions: the integral of f, half of each end term, and the terms
+    T_k = B_2k/(2k)! (f^(2k-1)(top) - f^(2k-1)(64)) for k <= 8.  What is
+    left is the integral of -(P_18(x) - B_18)/18! f^(18)(x) over [64, top],
+    P_18 the periodic Bernoulli function.  Every odd derivative of f is
+    negative and increasing, so f^(18) > 0; P_18 - B_18 keeps one sign and
+    stays within 2|B_18|; so the remainder lies between 0 and 2 T_9.  Both
+    ends must round to the same float, or the call raises AssertionError.
+    """
+    p, start = exponent, 64
+    top = int(round(1e15 ** (1.0 / p)))
+    while (top + 1) ** p <= 10**15:
+        top += 1
+    while top**p > 10**15:
+        top -= 1
+    total = sum(Fraction(1, m**p) for m in range(1, min(top + 1, start)))
+    if top < start:
+        return float(total)
+    bernoulli = _bernoulli_numbers(18)
+
+    def f(j, x):  # the j-th derivative of x^-p
+        return (-1) ** j * math.perm(p + j - 1, j) * Fraction(1, x ** (p + j))
+
+    t = [
+        bernoulli[2 * k] / math.factorial(2 * k) * (f(2 * k - 1, top) - f(2 * k - 1, start))
+        for k in range(1, 10)
+    ]
+    total += Fraction(1, (p - 1) * start ** (p - 1)) - Fraction(1, (p - 1) * top ** (p - 1))
+    total += (f(0, start) + f(0, top)) / 2 + sum(t[:8])
+    low, high = sorted((total, total + 2 * t[8]))
+    if float(low) != float(high):
+        raise AssertionError(f"the p-series sum for p = {p} rounds to two floats")
+    return float(low)
 
 
 @dataclass(frozen=True)

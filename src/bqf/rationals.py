@@ -1,5 +1,6 @@
 """Parsing and formatting of exact rationals as p/q strings."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -14,8 +15,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Render a rational as "p/q", or just "p" when the denominator is 1.
+
+    Every digit is written: Decimal, unlike str(), ignores the interpreter's
+    limit on int digits (parse_rational keeps that limit).
+    """
+    p, q = Fraction(value).as_integer_ratio()
+    return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
 def parse_rational_list(text: str) -> list[Fraction]:

@@ -214,7 +214,8 @@ def zigzag_numbers(k_max: int) -> list:
 
 @dataclass(frozen=True)
 class RationalPolynomial:
-    """A one-variable polynomial with Fraction coefficients, constant first."""
+    """A one-variable polynomial with Fraction coefficients, constant first
+    (the shape of tangent_polynomial, the oracle of limit_h_series)."""
 
     coeffs: tuple
 
@@ -243,7 +244,8 @@ def tangent_polynomial(n: int) -> RationalPolynomial:
 
     The x^k coefficient is n! times the z^n coefficient of tan(z)^(k+1);
     equivalently these are the coefficients of the exponential generating
-    function of tan(z)/(1 - x tan(z)).
+    function of tan(z)/(1 - x tan(z)).  Kept as the tests' oracle for
+    limit_h_series, which reads the same numbers off one series ratio.
     """
     if n < 1:
         raise DomainError(f"index must be positive, got {n}")
@@ -277,6 +279,11 @@ def limit_mgf_series(a, b, n: int, order: int) -> FormalSeries:
         tuple(c * (b / n) ** k * n for k, c in enumerate(arct.coeffs))
     )
     u = compose(elementary_series("tan", order + 1), inner, order + 1)
+    return _tangent_ratio(a, b, u, order)
+
+
+def _tangent_ratio(a, b, u: FormalSeries, order: int) -> FormalSeries:
+    """(u/z) / (b - a u) to the given order, for u odd with u_1 = b != 0."""
     t = _shift_down(u)  # t_0 = b
     den = _coerce(b, order) - a * FormalSeries(u.coeffs[: order + 1])
     return series_ratio(t.truncate(order), den, order)
@@ -286,19 +293,18 @@ def limit_h_series(a, b, order: int) -> FormalSeries:
     """Cumulant series of the limit law for weights a and b.
 
     Coefficient r is b^r T_{r+1}(a/b) / (r+1)! with T the tangent
-    polynomial; the constant term is zero.  For b = 0 this collapses to
+    polynomial; the constant term is zero.  By the generating function
+    tan(z)/(1 - x tan(z)) of the tangent polynomials, that is the series
+    tan(bz) / (z (b - a tan(bz))) - 1, the ratio limit_mgf_series forms with
+    tan(bz) in place of tan(n arctan(bz/n)).  For b = 0 this collapses to
     the geometric cumulants a^r of a single atom's arcsine-free analogue.
     """
     a = Fraction(a)
     b = Fraction(b)
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    coeffs = [Fraction(0)]
     if b == 0:
-        coeffs.extend(a**r for r in range(1, order + 1))
-        return FormalSeries(coeffs)
-    x = a / b
-    for r in range(1, order + 1):
-        poly = tangent_polynomial(r + 1)
-        coeffs.append(b**r * poly.evaluate(x) / math.factorial(r + 1))
-    return FormalSeries(coeffs)
+        return FormalSeries([Fraction(0)] + [a**r for r in range(1, order + 1)])
+    tan = elementary_series("tan", order + 1)
+    u = FormalSeries(tuple(c * b**k for k, c in enumerate(tan.coeffs)))
+    return _tangent_ratio(a, b, u, order) - 1

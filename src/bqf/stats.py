@@ -16,8 +16,8 @@ from .cumulants import (
     NCPolynomial,
     element_cumulants,
 )
-from .errors import DomainError, OrderShortfallError
-from .matrices import HermitianMatrix, qf_cumulant_iid
+from .errors import DomainError
+from .matrices import HermitianMatrix, _check_iid_order, qf_cumulant_iid
 from .partitions import enumerate_interval, lift_matching
 
 
@@ -75,18 +75,13 @@ def symmetrized_square_cumulant(form: LinearFormSpec, seq: CumulantSequence, r: 
     The permutations are never enumerated; the system matrix only needs
     the two aggregates sum(w_i^2) and sum_{i != j} w_i w_j.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
+    _check_iid_order(seq, r)
     weights = form.weights
     n = form.n
     if sum(weights) != 0:
         raise DomainError(
             "weights must sum to zero: the symmetrized squares statistic is "
             "only centered (zero-sum system matrix) in that case"
-        )
-    if seq.order < 2 * r:
-        raise OrderShortfallError(
-            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
         )
     ssq = sum((w * w for w in weights), Fraction(0))
     value = n * Fraction(math.factorial(n - 1)) ** r * ssq**r * seq.k(2 * r)
@@ -113,12 +108,7 @@ def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
     """
     if n < 2:
         raise DomainError(f"sample variance needs n >= 2, got {n}")
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
-    if seq.order < 2 * r:
-        raise OrderShortfallError(
-            f"order {r} needs cumulants through {2 * r}, have {seq.order}"
-        )
+    _check_iid_order(seq, r)
     value = n * (1 - Fraction(1, n)) ** r * seq.k(2 * r)
     if n <= 4 and r <= 4:
         q = Fraction(1, n)

@@ -25,6 +25,7 @@ from bqf.cli import (
     main,
     run,
 )
+from bqf.errors import DomainError
 from bqf.matrices import (
     HermitianMatrix,
     build_special,
@@ -32,6 +33,7 @@ from bqf.matrices import (
     matrix_scale,
     save_matrix,
 )
+from bqf.rationals import parse_rational
 
 COUPLED3_A = [[-15, 6, 1], [6, 9, -8], [1, -8, 5]]
 COUPLED3_B = [[-1, 16, 60], [16, 44, 90], [60, 90, 75]]
@@ -271,6 +273,40 @@ def test_stats_sample_variance(capsys):
     )
     assert code == 0
     assert payload["cumulants"] == ["2", "0"]
+
+
+def _digits_to_int(text):
+    # read in 1000-digit pieces, below the interpreter's int-from-str limit
+    value = 0
+    for start in range(0, len(text), 1000):
+        piece = text[start : start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_stats_sample_variance_prints_rationals_past_the_digit_limit(capsys):
+    # K_2r = alpha^2r lambda = 10^-4800 at r = 400: the denominator has more
+    # digits than str() of an int converts by default
+    code, payload = invoke_json(
+        capsys,
+        [
+            "stats",
+            "sample-variance",
+            "--n",
+            "3",
+            "--dist",
+            "poisson:lambda=1,alpha=1/1000000",
+            "--order",
+            "400",
+        ],
+    )
+    assert code == 0
+    numerator, denominator = payload["cumulants"][-1].split("/")
+    want = 3 * (1 - F(1, 3)) ** 400 * F(1, 10**4800)
+    assert F(_digits_to_int(numerator), _digits_to_int(denominator)) == want
+    assert len(denominator) > 4800
+    with pytest.raises(DomainError):
+        parse_rational("1/" + "1" * 5000)
 
 
 def test_stats_shifted_sos_invariance(capsys):
@@ -575,6 +611,29 @@ def test_main_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "cuts  blocks"
+
+
+def test_zeta_approximations_run_without_numpy():
+    # bqf has no runtime dependency: a child that cannot import numpy
+    # still computes both zeta targets, the k = 1 row byte for byte
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from bqf.cli import main\n"
+        "assert main(['approx', 'zeta', '--k', '0', '--n', '5']) == 0\n"
+        "raise SystemExit(main(['approx', 'zeta', '--k', '1', '--n', '100',"
+        " '--format', 'csv']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "zeta,1,100,1.0822150013877667,1.0823232337092639,9.9999998268744295e-05"
+    )
 
 
 def test_main_uses_provided_argv(capsys):

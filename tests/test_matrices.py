@@ -721,6 +721,17 @@ def test_matrix_json_roundtrip(tmp_path):
     assert matrix_from_json_obj(obj).entries == build_special("B", 2).entries
 
 
+def test_matrix_json_writes_entries_past_the_digit_limit(tmp_path):
+    # 3^10000 has 4772 digits, more than str() of an int converts by default
+    a = HermitianMatrix([[F(1, 3**10000)]])
+    assert matrix_to_json_obj(a)["entries"][0][0][1] == "0"
+    path = tmp_path / "big.json"
+    save_matrix(a, path)
+    re = json.loads(path.read_text())["entries"][0][0][0]
+    assert re.startswith("1/") and len(re) == 2 + 4772
+    assert re.endswith(str(3**10000 % 10**100).zfill(100))
+
+
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqf.cli import run
+from bqf.cli import APPROX_MAX_K, run
 from bqf.cumulants import CumulantSequence
 from bqf.errors import (
     AtomProximityError,
@@ -25,6 +25,7 @@ from bqf.matrices import (
 )
 from bqf.measure import (
     AtomicMeasure,
+    _p_series_target,
     levy_atoms,
     levy_partial_sum,
     moment_consistency,
@@ -326,10 +327,47 @@ def test_zeta_approx():
 
 
 def test_zeta_targets_are_pinned_bit_for_bit():
-    # the chunked p-series sums for exponents 2 (3.2e7 terms, eight chunks)
-    # and 4, as binary64 bit patterns
-    assert zeta_zigzag_approx("zeta", 0, 5).target.hex() == "0x1.a51a659d5ee10p+0"
-    assert zeta_zigzag_approx("zeta", 1, 5).target.hex() == "0x1.151322ac7b74fp+0"
+    # the correctly rounded p-series sums over m^p <= 1e15 for exponents
+    # 2 (3.2e7 terms, by Euler-Maclaurin), 4, 6, 8 and 12, as binary64 bit
+    # patterns
+    pinned = {
+        0: "0x1.a51a659d5ee0ep+0",
+        1: "0x1.151322ac7b74fp+0",
+        2: "0x1.0470984c09129p+0",
+        3: "0x1.010b36af86364p+0",
+        5: "0x1.001020a5b2ccap+0",
+    }
+    for k, bits in pinned.items():
+        assert zeta_zigzag_approx("zeta", k, 5).target.hex() == bits
+
+
+def _fixed_point_p_series(exponent, bits=128):
+    """The float of sum m^-p over m^p <= 1e15 by brute force: each term is
+    floored to a multiple of 2^-bits, so the exact sum lies within one unit
+    per term above the integer total, and both ends must round alike."""
+    one = 1 << bits
+    total = terms = 0
+    while (terms + 1) ** exponent <= 10**15:
+        terms += 1
+        total += one // terms**exponent
+    low, high = float(F(total, one)), float(F(total + terms, one))
+    assert low == high
+    return low
+
+
+@pytest.mark.parametrize("exponent", [4, 6, 8, 12])
+def test_zeta_targets_match_a_fixed_point_brute_force_sum(exponent):
+    target = zeta_zigzag_approx("zeta", exponent // 2 - 1, 5).target
+    assert target == _fixed_point_p_series(exponent)
+
+
+def test_zeta_targets_decrease_to_one():
+    # read directly: the traces at k near APPROX_MAX_K take seconds each
+    targets = [_p_series_target(2 * k + 2) for k in range(APPROX_MAX_K + 1)]
+    first_one = targets.index(1.0)
+    assert 2 * first_one + 2 == 50  # 2^p > 1e15 leaves only m = 1
+    assert all(x > y for x, y in zip(targets[:first_one], targets[1 : first_one + 1]))
+    assert targets[first_one:] == [1.0] * (APPROX_MAX_K + 1 - first_one)
 
 
 def test_tangent_approx():

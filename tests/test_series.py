@@ -1,9 +1,12 @@
 """Exact power series, tangent-family integer sequences, limit transforms."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf.errors import DomainError
 from bqf.matrices import build_special, matrix_add, matrix_scale, omega_moment
@@ -223,8 +226,8 @@ def test_limit_h_series_examples():
 
 
 def test_limit_h_closed_form_vs_series_route():
-    # coefficient r from tangent polynomials must match direct expansion of
-    # (1/z)tan(bz)/(b - a tan(bz)) - 1
+    # the library's ratio over the scaled tan coefficients must match the
+    # same ratio (1/z)tan(bz)/(b - a tan(bz)) - 1 built by composition
     order = 8
     for a, b in [(F(0), F(1)), (F(1), F(1)), (F(-2, 3), F(3, 2))]:
         closed = limit_h_series(a, b, order)
@@ -241,6 +244,21 @@ def test_limit_h_closed_form_vs_series_route():
             [F(1)] + [F(0)] * order
         )
         assert closed.coeffs == direct.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    b=st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+    order=st.integers(min_value=0, max_value=12),
+)
+def test_limit_h_series_property_against_tangent_polynomials(a, b, order):
+    # oracle: b^r T_{r+1}(a/b) / (r+1)! from the tangent polynomials
+    h = limit_h_series(a, b, order)
+    assert h.coefficient(0) == 0
+    for r in range(1, order + 1):
+        poly = tangent_polynomial(r + 1)
+        assert h.coefficient(r) == b**r * poly.evaluate(a / b) / math.factorial(r + 1)
 
 
 def test_mgf_converges_to_h_plus_one():
