@@ -39,7 +39,7 @@ ORACLE_CHECK_MAX_N = 8
 # Bounds on Krylov lengths, also checked up front: each power 1^T A^k is
 # one more matvec on integers that grow with k, so the cost is about
 # quadratic in the length; an independent pair never stops a --k scan
-# early, and cumulants qf runs one DP per order.
+# early, and cumulants qf's one DP pass is a chain of --order matvecs.
 QF_MAX_ORDER = 64
 H_SERIES_MAX_ORDER = 512
 INDEPENDENCE_MAX_K = 512
@@ -156,7 +156,7 @@ def _cmd_cumulants_qf(parser, args):
     _check_bound("--order", args.order, QF_MAX_ORDER)
     matrix = mx.load_matrix(args.matrix[0])
     seq = cm.parse_distribution(args.dist, 2 * args.order)
-    values = [mx.qf_cumulant_iid(matrix, seq, r).value for r in range(1, args.order + 1)]
+    values = mx.qf_cumulants_iid(matrix, seq, args.order)
     payload = {
         "n": matrix.n,
         "dist": args.dist,
@@ -182,9 +182,7 @@ def _cmd_cumulants_oracle_check(parser, args):
         source = f"sampled(seed={args.seed})"
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, matrix.n)
-    engine = [
-        mx.qf_cumulant_iid(matrix, seq, r).value for r in range(1, args.order + 1)
-    ]
+    engine = mx.qf_cumulants_iid(matrix, seq, args.order)
     oracle = cm.element_cumulants(_qf_polynomial(matrix), family, args.order).values
     equal = tuple(engine) == tuple(oracle)
     payload = {
@@ -312,9 +310,7 @@ def _cmd_stats_shifted_sos(parser, args):
     shifts = st.ShiftVector(parse_rational_list(args.shifts))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, len(shifts.shifts))
-    values = [
-        st.shifted_sos_cumulant(shifts, family, r) for r in range(1, args.order + 1)
-    ]
+    values = st.shifted_sos_cumulants(shifts, family, args.order)
     payload = {
         "shifts": list(shifts.shifts),
         "sum_squares": shifts.s,

@@ -28,14 +28,16 @@ DEFAULT_TERM_CAP = 200_000
 class CumulantSequence:
     """Cumulants K_1..K_R of one variable, truncated at order R.
 
-    Reads beyond R raise OrderShortfallError; truncation is a hard
-    boundary, not an implicit zero-fill.
+    values holds Fractions: each value is converted once, here, so that
+    readers such as the quadratic-form engine can take its numerator and
+    denominator directly.  Reads beyond R raise OrderShortfallError;
+    truncation is a hard boundary, not an implicit zero-fill.
     """
 
     values: tuple
 
     def __init__(self, values):
-        vals = tuple(values)
+        vals = tuple(map(Fraction, values))
         if not vals:
             raise DomainError("a cumulant sequence needs at least order 1")
         object.__setattr__(self, "values", vals)
@@ -207,9 +209,11 @@ def element_cumulants(
     """Cumulants K_1..K_order of a polynomial element, via its moments.
 
     Expands poly^m term by term (words concatenate, scalars collapse) and
-    converts the resulting moments.  The running expansion is capped at
-    term_cap distinct words; a breach raises ExpansionCapError naming the
-    cap, so runaway inputs fail fast instead of thrashing.
+    converts the resulting moments.  Each power's expansion is capped at
+    term_cap distinct words, counted while the power is built and before
+    words whose coefficients cancel to zero are dropped; the first word
+    past the cap raises ExpansionCapError naming the cap, so runaway
+    inputs fail fast instead of thrashing.
     """
     if order < 1:
         raise DomainError(f"cumulant order must be positive, got {order}")
@@ -223,13 +227,15 @@ def element_cumulants(
             for c2, w2 in base:
                 w = w1 + w2
                 acc = nxt.get(w)
-                nxt[w] = c1 * c2 if acc is None else acc + c1 * c2
-        nxt = {w: c for w, c in nxt.items() if c}
-        if len(nxt) > term_cap:
-            raise ExpansionCapError(
-                f"power {power} expansion has {len(nxt)} terms, over the cap {term_cap}"
-            )
-        current = nxt
+                if acc is not None:
+                    nxt[w] = acc + c1 * c2
+                elif len(nxt) < term_cap:
+                    nxt[w] = c1 * c2
+                else:
+                    raise ExpansionCapError(
+                        f"power {power} expansion passed the cap of {term_cap} terms"
+                    )
+        current = {w: c for w, c in nxt.items() if c}
         total = Fraction(0)
         for w, c in current.items():
             if w not in phi_cache:
@@ -370,7 +376,7 @@ def even_poisson_sequence(odd_values, order: int) -> CumulantSequence:
 
 
 def custom_sequence(values) -> CumulantSequence:
-    return CumulantSequence([Fraction(v) for v in values])
+    return CumulantSequence(values)
 
 
 def _parse_kv(body: str, keys) -> dict:

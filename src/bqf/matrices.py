@@ -8,9 +8,13 @@ that are constant on its blocks, times a product of cumulants read off the
 partition lifted to {1, ..., 2r}.  Constant-on-blocks sums factor into a
 chain of vector-matrix products with diagonal weights.
 
-The engine is _qf_dp, behind both qf_cumulant_iid and qf_cumulant_general.
-Interval partitions are compositions, so the sum is a dynamic programme
-over block ends: r matvecs, polynomial in r and n.
+The engine is _qf_dp, behind qf_cumulant_iid and qf_cumulant_general and
+their one-pass forms qf_cumulants_iid and qf_cumulants_general.  Interval
+partitions are compositions, so the sum is a dynamic programme over block
+ends whose row vectors do not depend on the order: one chain of R matvecs
+yields K_1, ..., K_R, and a single-order call totals only its own order.
+The cumulants enter as integers scaled once per call, with no rational
+arithmetic per variable.
 Two routes are kept as oracles for the tests: the per-partition
 enumeration behind QFCumulantReport.contributions (2^r partitions, refused
 above CONTRIBUTIONS_MAX_ORDER) and qf_cumulant_hadamard, which reaches the
@@ -351,56 +355,94 @@ def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
     return tuple(shares)
 
 
-def _qf_dp(a: HermitianMatrix, kvec, r: int):
-    """K_r of the quadratic form by a DP over compositions of r+1.
+def _integer_cumulants(rows):
+    """Scale the cumulants to integers; rows[m-1] lists K_m of some
+    variables as Fractions.  Returns G and the rows K_m G^ceil(m/2).
 
-    kvec(m) lists K_m of each variable.  The interval partitions of
-    {1, ..., r+1} are the compositions of r+1; a block of size s weighs
-    K_{2s-1} at either end of the chain, K_{2s} inside it (K_{2r} when it
-    is the only block) and the diagonal power d^(s-1), and consecutive
-    blocks are joined by one factor A.  V_j sums the weighted chain row
-    vectors of all compositions of 1..j, so the whole sum costs r
-    matvecs: the Boolean moment-cumulant recursion lifted to vectors.
-
-    Everything runs on Python ints.  With A = A'/dA and K = K'/dK over
-    common denominators, a block of size s is scaled by dK^s dA^(s-1)
-    and each joining A by dA, so every composition of r+1 is scaled by
-    the same dK^(r+1) dA^r.  V_j and W_j = V_j A are then integer vectors
-    over dK^j dA^(j-1) and dK^j dA^j, and one Fraction is built at the end.
+    A block of size s in the composition DP weighs K_{2s-1} or K_{2s}, so
+    it is scaled by G^s, and every composition of r+1 by the same G^(r+1)
+    (the one-block partition's K_{2r} carries G^r and takes one more G).
+    G grows greedily until each denominator of K_m divides G^ceil(m/2).
+    Per prime it never exceeds the lcm of all the denominators, and when
+    they grow geometrically in m, as for Poisson jumps, it does not grow
+    with the order: K_1..K_128 of poisson:lambda=3/2,alpha=2/3 give G = 9
+    where the lcm is 3^127.
     """
-    n = a.n
-    ks = [[Fraction(k) for k in kvec(m)] for m in range(1, 2 * r + 1)]
-    dk = lcm(*(k.denominator for row in ks for k in row))
-    kint = [None] + [[k.numerator * (dk // k.denominator) for k in row] for row in ks]
-    g = [a.re[i][i] * dk for i in range(n)]
+    scale = 1
+    for m, row in enumerate(rows, 1):
+        d = lcm(*(k.denominator for k in row))
+        scale *= d // gcd(d, scale ** ((m + 1) // 2))
+    return scale, [
+        [k.numerator * (scale ** ((m + 1) // 2) // k.denominator) for k in row]
+        for m, row in enumerate(rows, 1)
+    ]
+
+
+def _qf_dp(a: HermitianMatrix, kint, scale: int, orders: range) -> list:
+    """K_r of the quadratic form for each r in orders, by one DP over
+    compositions.
+
+    kint[m-1] lists K_m G^ceil(m/2) of each variable as integers, for m up
+    to 2 max(orders), and scale is G (see _integer_cumulants).  The
+    interval partitions of {1, ..., r+1} are the compositions of r+1; a
+    block of size s weighs K_{2s-1} at either end of the chain, K_{2s}
+    inside it (K_{2r} when it is the only block) and the diagonal power
+    d^(s-1), and consecutive blocks are joined by one factor A.  V_j sums
+    the weighted chain row vectors of all compositions of 1..j, and
+    W_j = V_j A: the Boolean moment-cumulant recursion lifted to vectors.
+    Neither depends on r, so one chain of R = max(orders) matvecs serves
+    every order, and
+
+        K_r = (one-block term) + sum_{s=1..r} W_{r+1-s} . edge_s,
+
+    with edge_s the end weight of a block of size s.  Only the orders
+    asked for are totalled; weights that are zero for every variable are
+    skipped.
+
+    Everything runs on Python ints.  With A = A'/dA, a block of size s is
+    scaled by G^s dA^(s-1) and each joining A by dA, so every composition
+    of r+1 is scaled by the same G^(r+1) dA^r; the one-block term, whose
+    K_{2r} carries only G^r, is multiplied by G to match.  V_j and W_j are
+    integer vectors over G^j dA^(j-1) and G^j dA^j, and one Fraction is
+    built per order.
+    """
+    n, r = a.n, orders[-1]
+    g = [a.re[i][i] for i in range(n)]
     gpow = [[1] * n]
     for _ in range(r):
         gpow.append(list(map(mul, gpow[-1], g)))
 
-    def weight(m, s):  # K'_m (dK d')^(s-1) per variable, d' = dA d
-        return list(map(mul, kint[m], gpow[s - 1]))
+    def weight(m, s):  # K_m G^s (dA d)^(s-1) per variable, or None if zero
+        k = kint[m - 1]
+        return list(map(mul, k, gpow[s - 1])) if any(k) else None
 
     edge = [None] + [weight(2 * s - 1, s) for s in range(1, r + 1)]
     inner = [None] + [weight(2 * s, s) for s in range(1, r)]
-    total_re = _dot(kint[2 * r], gpow[r])
-    total_im = 0
+    zero = [0] * n
     w = [None]
     for j in range(1, r + 1):
-        v_re = edge[j]
-        v_im = [0] * n
+        v_re = edge[j] or zero
+        v_im = zero
         for s in range(1, j):
             f = inner[s]
-            if any(f):
+            if f:
                 w_re, w_im = w[j - s]
                 v_re = [x + y * z for x, y, z in zip(v_re, w_re, f)]
                 v_im = [x + y * z for x, y, z in zip(v_im, w_im, f)]
         w.append(_matvec((v_re, v_im), a))
-    for s in range(1, r + 1):
-        w_re, w_im = w[r + 1 - s]
-        total_re += _dot(w_re, edge[s])
-        total_im += _dot(w_im, edge[s])
-    den = dk ** (r + 1) * a.den**r
-    return _require_real(total_re, total_im, den, f"K_{r} of the quadratic form")
+    values = []
+    for q in orders:
+        total_re = _dot(kint[2 * q - 1], gpow[q]) * scale
+        total_im = 0
+        for s in range(1, q + 1):
+            f = edge[s]
+            if f:
+                w_re, w_im = w[q + 1 - s]
+                total_re += _dot(w_re, f)
+                total_im += _dot(w_im, f)
+        den = scale ** (q + 1) * a.den**q
+        values.append(_require_real(total_re, total_im, den, f"K_{q} of the quadratic form"))
+    return values
 
 
 def _check_iid_order(seq, r: int):
@@ -412,15 +454,53 @@ def _check_iid_order(seq, r: int):
         )
 
 
+def _iid_dp(a: HermitianMatrix, seq, r: int, first: int) -> list:
+    """K_first, ..., K_r for a shared sequence: each K_m is scaled once,
+    as a scalar, and repeated for the n variables."""
+    _check_iid_order(seq, r)
+    scale, rows = _integer_cumulants([(k,) for k in seq.values[: 2 * r]])
+    return _qf_dp(a, [row * a.n for row in rows], scale, range(first, r + 1))
+
+
+def qf_cumulants_iid(a: HermitianMatrix, seq, order: int) -> list:
+    """K_1, ..., K_order of T = sum a_{jk} X_j X_k for one shared cumulant
+    sequence, from one pass of the composition DP (order matvecs)."""
+    return _iid_dp(a, seq, order, 1)
+
+
 def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
     """K_r of T = sum a_{jk} X_j X_k for one shared cumulant sequence.
 
-    The value comes from the composition DP (_qf_dp); the report's
-    per-partition contributions are left to the enumeration oracle.
+    The value comes from the composition DP (_qf_dp), which totals only
+    order r; the report's per-partition contributions are left to the
+    enumeration oracle.
     """
-    _check_iid_order(seq, r)
-    value = _qf_dp(a, lambda m: (seq.k(m),) * a.n, r)
+    (value,) = _iid_dp(a, seq, r, r)
     return QFCumulantReport(r, value, a, seq)
+
+
+def _general_dp(a: HermitianMatrix, family, r: int, first: int) -> list:
+    """K_first, ..., K_r for one cumulant sequence per variable."""
+    n = a.n
+    if r < 1:
+        raise DomainError(f"cumulant order must be positive, got {r}")
+    for i in range(1, n + 1):
+        if i not in family:
+            raise DomainError(f"family has no sequence for variable {i}")
+        if family[i].order < 2 * r:
+            raise OrderShortfallError(
+                f"order {r} needs cumulants through {2 * r}, variable {i} "
+                f"has {family[i].order}"
+            )
+    columns = (family[i].values[: 2 * r] for i in range(1, n + 1))
+    scale, kint = _integer_cumulants(list(zip(*columns)))
+    return _qf_dp(a, kint, scale, range(first, r + 1))
+
+
+def qf_cumulants_general(a: HermitianMatrix, family, order: int) -> list:
+    """K_1, ..., K_order of the quadratic form for per-variable cumulant
+    sequences, from one pass of the composition DP (order matvecs)."""
+    return _general_dp(a, family, order, 1)
 
 
 def qf_cumulant_general(a: HermitianMatrix, family, r: int):
@@ -430,18 +510,8 @@ def qf_cumulant_general(a: HermitianMatrix, family, r: int):
     interval partition carries one variable, so the composition DP
     (_qf_dp) applies with per-variable weights.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
-    n = a.n
-    for i in range(1, n + 1):
-        if i not in family:
-            raise DomainError(f"family has no sequence for variable {i}")
-        if family[i].order < 2 * r:
-            raise OrderShortfallError(
-                f"order {r} needs cumulants through {2 * r}, variable {i} "
-                f"has {family[i].order}"
-            )
-    return _qf_dp(a, lambda m: [family[i].k(m) for i in range(1, n + 1)], r)
+    (value,) = _general_dp(a, family, r, r)
+    return value
 
 
 def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):

@@ -121,20 +121,26 @@ def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
     return value
 
 
-def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):
-    """K_r of sum_i (X_i + a_i)^2, evaluated by the polynomial oracle.
+def shifted_sos_cumulants(shifts: ShiftVector, family, order: int) -> list:
+    """K_1, ..., K_order of sum_i (X_i + a_i)^2, by the polynomial oracle.
 
     Expands to sum_i (X_i^2 + 2 a_i X_i) plus the scalar sum of squares
-    and feeds the result through element_cumulants; no closed form is
-    assumed here.
+    and feeds the result through one element_cumulants call, which
+    expands each power once for all orders; no closed form is assumed
+    here.
     """
-    if r < 1:
-        raise DomainError(f"cumulant order must be positive, got {r}")
+    if order < 1:
+        raise DomainError(f"cumulant order must be positive, got {order}")
     poly = NCPolynomial.scalar(shifts.s)
     for i, a in enumerate(shifts.shifts, start=1):
         xi = NCPolynomial.variable(i)
         poly = poly + xi * xi + 2 * a * xi
-    return element_cumulants(poly, family, r).values[r - 1]
+    return list(element_cumulants(poly, family, order).values)
+
+
+def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):
+    """K_r of sum_i (X_i + a_i)^2 (see shifted_sos_cumulants)."""
+    return shifted_sos_cumulants(shifts, family, r)[r - 1]
 
 
 def kagan_closed_form(s, r: int) -> Fraction:

@@ -169,6 +169,29 @@ def test_cumulants_oracle_check_rejects_complex_matrix(capsys, matrix_files):
     assert "error:" in err and "imaginary" in err
 
 
+def test_all_orders_take_one_chain_of_matvecs(capsys, matrix_files, monkeypatch):
+    # K_1..K_R come from one DP pass: R matvecs, not the R(R+1)/2 of one
+    # DP per order; the oracle side of oracle-check does no matvecs
+    calls = []
+    matvec = bqf.matrices._matvec
+
+    def counted(u, a):
+        calls.append(a.n)
+        return matvec(u, a)
+
+    monkeypatch.setattr(bqf.matrices, "_matvec", counted)
+    for order in (1, 7, 20):
+        calls.clear()
+        argv = ["cumulants", "qf", "--matrix", matrix_files["a3"], "--order", str(order)]
+        code, _ = invoke_json(capsys, argv + ["--dist", "poisson:lambda=3/2,alpha=2/3"])
+        assert code == 0 and len(calls) == order
+    for order in (1, 5):
+        calls.clear()
+        argv = ["cumulants", "oracle-check", "--dist", "gaussian:c=1,v=2", "--n", "2"]
+        code, payload = invoke_json(capsys, argv + ["--order", str(order)])
+        assert code == 0 and payload["equal"] is True and len(calls) == order
+
+
 def test_cumulants_convert_both_directions(capsys):
     code, payload = invoke_json(
         capsys, ["cumulants", "convert", "--moments", "1,2,3"]
@@ -329,6 +352,17 @@ def test_stats_shifted_sos_invariance(capsys):
         assert payload["sum_squares"] == "25"
         outputs.append(payload["cumulants"])
     assert outputs[0] == outputs[1] == ["28", "100", "2600"]
+
+
+def test_stats_shifted_sos_expansion_cap_is_an_error(capsys):
+    # twelve shifts pass the polynomial oracle's term cap while power 4 is
+    # being expanded; the run stops there with an error line, not a traceback
+    shifts = ",".join(["1"] * 12)
+    argv = ["stats", "shifted-sos", f"--shifts={shifts}", "--dist", "gaussian:c=0,v=1"]
+    code, out, err = invoke(capsys, argv + ["--order", "4"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: power 4 expansion passed the cap")
 
 
 def test_stats_symmetrized(capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf.cumulants import (
     CumulantSequence,
@@ -176,6 +178,21 @@ def test_element_cumulants_poisson_square():
             assert got.values[r - 1] == alpha ** (2 * r) * lam * (lam + 1) ** r
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=12
+    )
+)
+def test_moment_cumulant_round_trip_property(values):
+    # the same list read as cumulants and as moments, converted both ways
+    order = len(values)
+    moments = moments_from_cumulants(CumulantSequence(values), order)
+    assert cumulants_from_moments(moments).values == tuple(values)
+    kappa = cumulants_from_moments(values)
+    assert moments_from_cumulants(kappa, order) == values
+
+
 def test_element_cumulants_cap():
     fam = constant_family(CumulantSequence([F(1)] * 8), 3)
     big = (
@@ -186,6 +203,14 @@ def test_element_cumulants_cap():
     with pytest.raises(ExpansionCapError) as err:
         element_cumulants(big, fam, 8, term_cap=10)
     assert "10" in str(err.value)
+    # the count is taken before cancelled words are dropped: the square of
+    # x + xy - yx has 8 distinct words, 7 of them nonzero (x.yx = xy.x)
+    x, y = NCPolynomial.variable(1), NCPolynomial.variable(2)
+    p = x + x * y - y * x
+    assert len((p * p).terms) == 7
+    assert element_cumulants(p, fam, 2, term_cap=8).values == (F(1), F(-1))
+    with pytest.raises(ExpansionCapError, match="power 2 expansion passed the cap of 7"):
+        element_cumulants(p, fam, 2, term_cap=7)
 
 
 def test_mixed_cumulant_examples():

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bqf.cumulants import (
+    CumulantSequence,
     NCPolynomial,
     constant_family,
     custom_sequence,
@@ -43,6 +44,8 @@ from bqf.matrices import (
     qf_cumulant_general,
     qf_cumulant_hadamard,
     qf_cumulant_iid,
+    qf_cumulants_general,
+    qf_cumulants_iid,
     random_hermitian,
     save_matrix,
     trace_J_power,
@@ -413,6 +416,41 @@ def test_qf_cumulant_general_matches_polynomial_oracle_property(a, r, values):
         ]
     )
     assert qf_cumulant_general(a, fam, r) == element_cumulants(poly, fam, r).k(r)
+
+
+@st.composite
+def cumulant_sequences(draw, order):
+    """One of the four preset kinds, or plain int cumulants, many of them
+    zero, all to the given order."""
+    kind = draw(st.sampled_from(("gaussian", "poisson", "evenpoisson", "custom", "int")))
+    if kind == "gaussian":
+        return gaussian_sequence(draw(SMALL_RATIONALS), draw(SMALL_RATIONALS), order)
+    if kind == "poisson":
+        return poisson_sequence(draw(SMALL_RATIONALS), draw(SMALL_RATIONALS), order)
+    if kind == "evenpoisson":
+        return even_poisson_sequence(draw(st.lists(SMALL_RATIONALS, max_size=3)), order)
+    if kind == "custom":
+        return custom_sequence(draw(st.lists(SMALL_RATIONALS, min_size=order, max_size=order)))
+    ints = st.integers(min_value=-3, max_value=3) | st.just(0)
+    return CumulantSequence(draw(st.lists(ints, min_size=order, max_size=order)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), a=hermitian_matrices(max_n=5), order=st.integers(min_value=1, max_value=8))
+def test_one_pass_matches_single_orders_and_enumeration_property(data, a, order):
+    # K_1..K_R from one DP pass against one call per order, the per-partition
+    # enumeration oracle, and a family whose sequences differ per variable
+    seq = data.draw(cumulant_sequences(2 * order))
+    values = qf_cumulants_iid(a, seq, order)
+    assert values == [qf_cumulant_iid(a, seq, r).value for r in range(1, order + 1)]
+    for r, value in enumerate(values, 1):
+        shares = qf_cumulant_iid(a, seq, r).contributions
+        assert sum((c for _, c in shares), GaussianRational(0)) == GaussianRational(value)
+    assert qf_cumulants_general(a, constant_family(seq, a.n), order) == values
+    fam = {i: data.draw(cumulant_sequences(2 * order)) for i in range(1, a.n + 1)}
+    assert qf_cumulants_general(a, fam, order) == [
+        qf_cumulant_general(a, fam, r) for r in range(1, order + 1)
+    ]
 
 
 def _grid_total(entries):
