@@ -120,23 +120,22 @@ def _int_list(text: str) -> list:
     return values
 
 
-def _single_n(parser, args) -> int:
-    if args.n is None:
-        parser.error("--n is required")
-    if len(args.n) != 1:
-        parser.error("this subcommand takes a single --n")
-    return args.n[0]
+def _matrices(parser, args, count: int) -> list:
+    """Load the --matrix files, a usage error unless exactly count were given."""
+    paths = args.matrix or []
+    if len(paths) != count:
+        parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
+    return [mx.load_matrix(path) for path in paths]
 
 
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_partitions_enumerate(parser, args):
-    n = _single_n(parser, args)
-    _check_bound("--n", n, PARTITIONS_MAX_N)
-    parts = pt.enumerate_interval(n)
+    _check_bound("--n", args.n, PARTITIONS_MAX_N)
+    parts = pt.enumerate_interval(args.n)
     payload = {
-        "n": n,
+        "n": args.n,
         "count": len(parts),
         "partitions": [
             {"cuts": sorted(p.cuts), "blocks": [list(b) for b in p.blocks()]}
@@ -149,12 +148,8 @@ def _cmd_partitions_enumerate(parser, args):
 
 
 def _cmd_cumulants_qf(parser, args):
-    if not args.matrix:
-        parser.error("--matrix is required")
-    if len(args.matrix) != 1:
-        parser.error("this subcommand takes a single --matrix")
     _check_bound("--order", args.order, QF_MAX_ORDER)
-    matrix = mx.load_matrix(args.matrix[0])
+    (matrix,) = _matrices(parser, args, 1)
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = mx.qf_cumulants_iid(matrix, seq, args.order)
     payload = {
@@ -170,15 +165,12 @@ def _cmd_cumulants_qf(parser, args):
 def _cmd_cumulants_oracle_check(parser, args):
     _check_bound("--order", args.order, ORACLE_CHECK_MAX_ORDER)
     if args.matrix:
-        if len(args.matrix) != 1:
-            parser.error("this subcommand takes a single --matrix")
-        matrix = mx.load_matrix(args.matrix[0])
+        (matrix,) = _matrices(parser, args, 1)
         source = args.matrix[0]
     else:
-        n = args.n[0] if args.n else 2
-        _check_bound("--n", n, ORACLE_CHECK_MAX_N)
+        _check_bound("--n", args.n, ORACLE_CHECK_MAX_N)
         rng = random.Random(args.seed)
-        matrix = mx.random_hermitian(rng, n, complex_entries=False)
+        matrix = mx.random_hermitian(rng, args.n, complex_entries=False)
         source = f"sampled(seed={args.seed})"
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, matrix.n)
@@ -216,18 +208,16 @@ def _qf_polynomial(matrix) -> cm.NCPolynomial:
 
 
 def _cmd_cumulants_convert(parser, args):
-    if (args.moments is None) == (args.cumulants is None):
-        parser.error("exactly one of --moments or --cumulants is required")
     if args.moments is not None:
         values = parse_rational_list(args.moments)
-        order = args.order or len(values)
+        order = len(values) if args.order is None else args.order
         seq = cm.cumulants_from_moments(values, order)
         moments = values[:order]
         kappa = list(seq.values)
         kind = "moments"
     else:
         values = parse_rational_list(args.cumulants)
-        order = args.order or len(values)
+        order = len(values) if args.order is None else args.order
         seq = cm.CumulantSequence(values)
         moments = cm.moments_from_cumulants(seq, order)
         kappa = list(values[:order])
@@ -244,9 +234,7 @@ def _cmd_cumulants_convert(parser, args):
 
 
 def _cmd_matrix_check(parser, args):
-    if not args.matrix or len(args.matrix) != 1:
-        parser.error("exactly one --matrix is required")
-    matrix = mx.load_matrix(args.matrix[0])
+    (matrix,) = _matrices(parser, args, 1)
     report = mx.zero_sum_checks(matrix)
     payload = {
         "n": matrix.n,
@@ -261,11 +249,8 @@ def _cmd_matrix_check(parser, args):
 
 
 def _cmd_matrix_independence(parser, args):
-    if not args.matrix or len(args.matrix) != 2:
-        parser.error("exactly two --matrix flags are required")
     _check_bound("--k", args.k, INDEPENDENCE_MAX_K)
-    a = mx.load_matrix(args.matrix[0])
-    b = mx.load_matrix(args.matrix[1])
+    a, b = _matrices(parser, args, 2)
     result = mx.independence_check(a, b, args.k)
     requested = args.k if args.k is not None else 2 * a.n
     payload = {
@@ -280,10 +265,8 @@ def _cmd_matrix_independence(parser, args):
 
 
 def _cmd_matrix_h_series(parser, args):
-    if not args.matrix or len(args.matrix) != 1:
-        parser.error("exactly one --matrix is required")
     _check_bound("--order", args.order, H_SERIES_MAX_ORDER)
-    matrix = mx.load_matrix(args.matrix[0])
+    (matrix,) = _matrices(parser, args, 1)
     series = mx.h_series_qf(matrix, args.order)
     payload = {
         "n": matrix.n,
@@ -296,11 +279,12 @@ def _cmd_matrix_h_series(parser, args):
 
 
 def _cmd_stats_sample_variance(parser, args):
-    n = _single_n(parser, args)
     _check_bound("--order", args.order, STATS_MAX_ORDER)
     seq = cm.parse_distribution(args.dist, 2 * args.order)
-    values = [st.sample_variance_cumulant(n, seq, r) for r in range(1, args.order + 1)]
-    payload = {"n": n, "dist": args.dist, "order": args.order, "cumulants": values}
+    values = [
+        st.sample_variance_cumulant(args.n, seq, r) for r in range(1, args.order + 1)
+    ]
+    payload = {"n": args.n, "dist": args.dist, "order": args.order, "cumulants": values}
     _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
     return 0
 
@@ -340,8 +324,6 @@ def _cmd_stats_symmetrized(parser, args):
 
 
 def _cmd_limit_tangent(parser, args):
-    if args.n is None:
-        parser.error("--n is required")
     _check_bound("--order", args.order, LIMIT_MAX_ORDER)
     a = parse_rational(args.a)
     b = parse_rational(args.b)
@@ -371,8 +353,6 @@ def _cmd_limit_tangent(parser, args):
 
 def _cmd_approx(kind):
     def handler(parser, args):
-        if args.n is None:
-            parser.error("--n is required")
         _check_bound("--k", args.k, APPROX_MAX_K)
         results = [ms.zeta_zigzag_approx(kind, args.k, n) for n in args.n]
         payload = {
@@ -455,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def sub(group_parser, name, handler, **flag_defs):
         p = group_parser.add_parser(name)
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         for flag, defn in flag_defs.items():
             p.add_argument(flag, **defn)
         p.set_defaults(handler=handler, parser=p)
@@ -464,7 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     partitions = groups.add_parser("partitions").add_subparsers(
         dest="command", required=True
     )
-    sub(partitions, "enumerate", _cmd_partitions_enumerate, **{"--n": dict(type=_int_list)})
+    sub(
+        partitions,
+        "enumerate",
+        _cmd_partitions_enumerate,
+        **{"--n": dict(type=int, required=True)},
+    )
 
     cumulants = groups.add_parser("cumulants").add_subparsers(
         dest="command", required=True
@@ -487,19 +471,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "--matrix": dict(action="append"),
             "--dist": dict(required=True),
             "--order": dict(type=int, required=True),
-            "--n": dict(type=_int_list),
+            "--n": dict(type=int, default=2),
+            "--seed": dict(type=int, default=0),
         },
     )
-    sub(
-        cumulants,
-        "convert",
-        _cmd_cumulants_convert,
-        **{
-            "--moments": dict(),
-            "--cumulants": dict(),
-            "--order": dict(type=int),
-        },
+    convert = sub(
+        cumulants, "convert", _cmd_cumulants_convert, **{"--order": dict(type=int)}
     )
+    given = convert.add_mutually_exclusive_group(required=True)
+    given.add_argument("--moments")
+    given.add_argument("--cumulants")
 
     matrix = groups.add_parser("matrix").add_subparsers(dest="command", required=True)
     sub(matrix, "check", _cmd_matrix_check, **{"--matrix": dict(action="append")})
@@ -522,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sample-variance",
         _cmd_stats_sample_variance,
         **{
-            "--n": dict(type=_int_list),
+            "--n": dict(type=int, required=True),
             "--dist": dict(required=True),
             "--order": dict(type=int, required=True),
         },
@@ -556,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--a": dict(required=True),
             "--b": dict(required=True),
-            "--n": dict(type=_int_list),
+            "--n": dict(type=_int_list, required=True),
             "--order": dict(type=int, required=True),
         },
     )
@@ -567,7 +548,10 @@ def _build_parser() -> argparse.ArgumentParser:
             approx,
             kind,
             _cmd_approx(kind),
-            **{"--k": dict(type=int, required=True), "--n": dict(type=_int_list)},
+            **{
+                "--k": dict(type=int, required=True),
+                "--n": dict(type=_int_list, required=True),
+            },
         )
 
     measure = groups.add_parser("measure").add_subparsers(dest="command", required=True)

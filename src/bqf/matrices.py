@@ -707,10 +707,9 @@ def save_matrix(a: HermitianMatrix, path):
         handle.write("\n")
 
 
-def random_hermitian(
-    rng, n: int, spread: int = 6, complex_entries: bool = True
-) -> HermitianMatrix:
-    """A random self-adjoint matrix with small rational entries.
+def random_hermitian(rng, n: int, complex_entries: bool = True) -> HermitianMatrix:
+    """A random self-adjoint matrix with small rational entries p/q,
+    |p| <= 6 and 1 <= q <= 4.
 
     Deterministic given a seeded random.Random; used by sampling tests and
     the oracle-check command.  With complex_entries=False the result is real
@@ -721,7 +720,7 @@ def random_hermitian(
         raise DomainError(f"size must be positive, got {n}")
 
     def q():
-        return Fraction(rng.randint(-spread, spread), rng.randint(1, 4))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
     rows = [[GR_ZERO] * n for _ in range(n)]
     for i in range(n):

@@ -30,7 +30,6 @@ from .errors import (
 from .series import (
     FormalSeries,
     _bernoulli_numbers,
-    elementary_series,
     limit_h_series,
     limit_mgf_series,
     series_ratio,
@@ -240,15 +239,15 @@ class MomentRow:
 def moment_consistency(measure: AtomicMeasure, m_max: int) -> list:
     """Compare atom moments with the exact moment series through m_max.
 
-    The moment series is 1/(2 - tan(z)/z); its coefficients are rational
-    and get rounded to binary64 only for the comparison.
+    The moment series is the Boolean one, 1/(1 - h) with h the limit
+    cumulant series limit_h_series(0, 1); that is 1/(2 - tan(z)/z).  Its
+    coefficients are rational and get rounded to binary64 only for the
+    comparison.
     """
     if m_max < 0:
         raise DomainError(f"moment order must be nonnegative, got {m_max}")
-    tan = elementary_series("tan", m_max + 1)
-    tan_over_z = FormalSeries(tan.coeffs[1:])
     one = FormalSeries((Fraction(1),) + (Fraction(0),) * m_max)
-    series = series_ratio(one, 2 - tan_over_z, m_max)
+    series = series_ratio(one, 1 - limit_h_series(0, 1, m_max), m_max)
     rows = []
     for m in range(m_max + 1):
         atom = measure.moment(m)

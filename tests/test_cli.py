@@ -3,6 +3,8 @@ deterministic bytes, and the documented exit codes."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -214,6 +216,16 @@ def test_cumulants_convert_usage_errors(capsys):
         run(["cumulants", "convert", "--moments", "1", "--cumulants", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cumulants_convert_order_zero_is_an_error(capsys):
+    # --order 0 is an order out of range, not an absent flag
+    for kind in ("--moments", "--cumulants"):
+        argv = ["cumulants", "convert", kind, "1,2,3", "--order", "0"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "order must be positive, got 0" in err
 
 
 def test_matrix_check(capsys, matrix_files):
@@ -632,6 +644,27 @@ def test_exit_code_on_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_flags_are_checked_by_the_parser(capsys, matrix_files):
+    # a list where one n is taken, --seed where nothing is sampled, and a
+    # --matrix count other than the subcommand's are usage errors
+    c3 = matrix_files["centering3"]
+    oracle = ["cumulants", "oracle-check", "--dist", "gaussian:c=1,v=2", "--order", "2"]
+    cases = [
+        (oracle + ["--n", "3,5"], "--n"),
+        (["approx", "zeta", "--k", "1", "--n", "10", "--seed", "1"], "--seed"),
+        (["matrix", "check"], "--matrix"),
+        (["matrix", "check", "--matrix", c3, "--matrix", c3], "--matrix"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert "error:" in last and flag in last
+
+
 def test_main_entry_point_subprocess():
     # the child imports the same bqf as this process, installed or not
     path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
@@ -674,3 +707,21 @@ def test_main_uses_provided_argv(capsys):
     assert main(["partitions", "enumerate", "--n", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    # every bqf line of the README's example block, with a.json and b.json
+    # two real symmetric 3 x 3 matrices
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"## Command-line tool.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("bqf ")]
+    assert lines
+    save_matrix(HermitianMatrix(COUPLED3_A), tmp_path / "a.json")
+    save_matrix(HermitianMatrix(COUPLED3_B), tmp_path / "b.json")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = invoke(capsys, shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert out
