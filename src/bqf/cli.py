@@ -29,33 +29,52 @@ from . import stats as st
 from .errors import DomainError
 from .rationals import format_rational, parse_rational, parse_rational_list
 
-# Bounds on arguments whose cost grows exponentially, checked before any
-# work starts: enumerate lists 2^(n-1) partitions, and the oracle expands
-# the quadratic form's powers word by word (shifted-sos too); a sampled
-# 8 x 8 matrix meets the expansion cap within about a second.
+# Each bound sits on its flag's declaration in _build_parser (bound=, and
+# count= for the length of a list) and is checked before any work starts
+# or any file is read.  Bounds on arguments whose cost grows
+# exponentially: enumerate lists 2^(n-1) partitions, and the oracle
+# expands the quadratic form's powers word by word (shifted-sos too); a
+# sampled 8 x 8 matrix meets the expansion cap within about a second.
 PARTITIONS_MAX_N = 16
 ORACLE_CHECK_MAX_ORDER = 12
 ORACLE_CHECK_MAX_N = 8
-# Bounds on Krylov lengths, also checked up front: each power 1^T A^k is
-# one more matvec on integers that grow with k, so the cost is about
-# quadratic in the length; an independent pair never stops a --k scan
-# early, and cumulants qf's one DP pass is a chain of --order matvecs.
+# Bounds on Krylov lengths: each power 1^T A^k is one more matvec on
+# integers that grow with k, so the cost is about quadratic in the
+# length; an independent pair never stops a --k scan early, and
+# cumulants qf's one DP pass is a chain of --order matvecs.
 QF_MAX_ORDER = 64
 H_SERIES_MAX_ORDER = 512
 INDEPENDENCE_MAX_K = 512
-# Bounds on the series orders and atom counts, each a few seconds at most
-# at its limit: exact rationals grow with the order, and every atom pair
-# costs a root and its share of one JSON document in memory.
+# Bounds on the series orders and atom counts: exact rationals grow with
+# the order, and every atom pair costs a root and its share of one JSON
+# document in memory.  Most take at most a few seconds at their limit;
+# approx zeta|tangent --k 64 takes 6-12 s per n (2-core x86-64 host),
+# nearly all of it in compose inside limit_mgf_series.
 LIMIT_MAX_ORDER = 64
 APPROX_MAX_K = 64
 STATS_MAX_ORDER = 1000
 MEASURE_MAX_PAIRS = 20_000
 MOMENTS_MAX_ORDER = 200
+# Bounds on the model size n of limit tangent, approx and stats
+# sample-variance, and on the number of n a list may hold: the exact
+# rationals grow with the digits of n (a 100-digit n keeps approx zeta
+# --k 32 busy for 15 s), and each listed n costs one series.
+MODEL_MAX_N = 1_000_000
+MODEL_MAX_COUNT = 16
 
 
-def _check_bound(flag: str, value, limit: int):
-    if value is not None and value > limit:
-        raise DomainError(f"{flag} must be at most {limit}, got {value}")
+def _check_bounds(args):
+    """Refuse the first bounded flag, in declaration order, above its limit."""
+    for flag, dest, limit, count in args.bounds:
+        value = getattr(args, dest)
+        if isinstance(value, list):
+            if len(value) > count:
+                raise DomainError(
+                    f"{flag} takes at most {count} values, got {len(value)}"
+                )
+            value = max(value)
+        if value is not None and value > limit:
+            raise DomainError(f"{flag} must be at most {limit}, got {value}")
 
 
 def _fmt_float(x: float) -> str:
@@ -110,6 +129,13 @@ def _emit(args, payload: dict, header=None, rows=None):
         out.write("  ".join(_cell(v) for v in row) + "\n")
 
 
+def _emit_table(args, payload: dict, key: str, header, rows, skip: int = 0):
+    """Print the (header, rows) table; in JSON it is payload[key], one dict
+    per row without the first skip columns."""
+    payload[key] = [dict(zip(header[skip:], row[skip:])) for row in rows]
+    _emit(args, payload, header, rows)
+
+
 def _int_list(text: str) -> list:
     try:
         values = [int(piece) for piece in text.split(",") if piece.strip()]
@@ -120,19 +146,18 @@ def _int_list(text: str) -> list:
     return values
 
 
-def _matrices(parser, args, count: int) -> list:
+def _matrices(args, count: int) -> list:
     """Load the --matrix files, a usage error unless exactly count were given."""
     paths = args.matrix or []
     if len(paths) != count:
-        parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
+        args.parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
     return [mx.load_matrix(path) for path in paths]
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_partitions_enumerate(parser, args):
-    _check_bound("--n", args.n, PARTITIONS_MAX_N)
+def _cmd_partitions_enumerate(args):
     parts = pt.enumerate_interval(args.n)
     payload = {
         "n": args.n,
@@ -147,9 +172,8 @@ def _cmd_partitions_enumerate(parser, args):
     return 0
 
 
-def _cmd_cumulants_qf(parser, args):
-    _check_bound("--order", args.order, QF_MAX_ORDER)
-    (matrix,) = _matrices(parser, args, 1)
+def _cmd_cumulants_qf(args):
+    (matrix,) = _matrices(args, 1)
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = mx.qf_cumulants_iid(matrix, seq, args.order)
     payload = {
@@ -162,13 +186,11 @@ def _cmd_cumulants_qf(parser, args):
     return 0
 
 
-def _cmd_cumulants_oracle_check(parser, args):
-    _check_bound("--order", args.order, ORACLE_CHECK_MAX_ORDER)
+def _cmd_cumulants_oracle_check(args):
     if args.matrix:
-        (matrix,) = _matrices(parser, args, 1)
+        (matrix,) = _matrices(args, 1)
         source = args.matrix[0]
     else:
-        _check_bound("--n", args.n, ORACLE_CHECK_MAX_N)
         rng = random.Random(args.seed)
         matrix = mx.random_hermitian(rng, args.n, complex_entries=False)
         source = f"sampled(seed={args.seed})"
@@ -207,7 +229,7 @@ def _qf_polynomial(matrix) -> cm.NCPolynomial:
     return cm.NCPolynomial(terms)
 
 
-def _cmd_cumulants_convert(parser, args):
+def _cmd_cumulants_convert(args):
     if args.moments is not None:
         values = parse_rational_list(args.moments)
         order = len(values) if args.order is None else args.order
@@ -233,8 +255,8 @@ def _cmd_cumulants_convert(parser, args):
     return 0
 
 
-def _cmd_matrix_check(parser, args):
-    (matrix,) = _matrices(parser, args, 1)
+def _cmd_matrix_check(args):
+    (matrix,) = _matrices(args, 1)
     report = mx.zero_sum_checks(matrix)
     payload = {
         "n": matrix.n,
@@ -248,9 +270,8 @@ def _cmd_matrix_check(parser, args):
     return 0
 
 
-def _cmd_matrix_independence(parser, args):
-    _check_bound("--k", args.k, INDEPENDENCE_MAX_K)
-    a, b = _matrices(parser, args, 2)
+def _cmd_matrix_independence(args):
+    a, b = _matrices(args, 2)
     result = mx.independence_check(a, b, args.k)
     requested = args.k if args.k is not None else 2 * a.n
     payload = {
@@ -264,9 +285,8 @@ def _cmd_matrix_independence(parser, args):
     return 0
 
 
-def _cmd_matrix_h_series(parser, args):
-    _check_bound("--order", args.order, H_SERIES_MAX_ORDER)
-    (matrix,) = _matrices(parser, args, 1)
+def _cmd_matrix_h_series(args):
+    (matrix,) = _matrices(args, 1)
     series = mx.h_series_qf(matrix, args.order)
     payload = {
         "n": matrix.n,
@@ -278,8 +298,7 @@ def _cmd_matrix_h_series(parser, args):
     return 0
 
 
-def _cmd_stats_sample_variance(parser, args):
-    _check_bound("--order", args.order, STATS_MAX_ORDER)
+def _cmd_stats_sample_variance(args):
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [
         st.sample_variance_cumulant(args.n, seq, r) for r in range(1, args.order + 1)
@@ -289,8 +308,7 @@ def _cmd_stats_sample_variance(parser, args):
     return 0
 
 
-def _cmd_stats_shifted_sos(parser, args):
-    _check_bound("--order", args.order, ORACLE_CHECK_MAX_ORDER)
+def _cmd_stats_shifted_sos(args):
     shifts = st.ShiftVector(parse_rational_list(args.shifts))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, len(shifts.shifts))
@@ -306,8 +324,7 @@ def _cmd_stats_shifted_sos(parser, args):
     return 0
 
 
-def _cmd_stats_symmetrized(parser, args):
-    _check_bound("--order", args.order, STATS_MAX_ORDER)
+def _cmd_stats_symmetrized(args):
     form = st.LinearFormSpec(parse_rational_list(args.weights))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [
@@ -323,102 +340,51 @@ def _cmd_stats_symmetrized(parser, args):
     return 0
 
 
-def _cmd_limit_tangent(parser, args):
-    _check_bound("--order", args.order, LIMIT_MAX_ORDER)
+def _cmd_limit_tangent(args):
     a = parse_rational(args.a)
     b = parse_rational(args.b)
-    rows = ms.tangent_convergence(a, b, args.n, args.order)
-    payload = {
-        "a": a,
-        "b": b,
-        "r_max": args.order,
-        "rows": [
-            {
-                "n": row.n,
-                "r": row.r,
-                "finite": row.finite_value,
-                "limit": row.limit_value,
-                "abs_error": row.abs_error,
-            }
-            for row in rows
-        ],
-    }
-    table = [
+    rows = [
         (row.n, row.r, row.finite_value, row.limit_value, row.abs_error)
-        for row in rows
+        for row in ms.tangent_convergence(a, b, args.n, args.order)
     ]
-    _emit(args, payload, ("n", "r", "finite", "limit", "abs_error"), table)
+    payload = {"a": a, "b": b, "r_max": args.order}
+    header = ("n", "r", "finite", "limit", "abs_error")
+    _emit_table(args, payload, "rows", header, rows)
     return 0
 
 
-def _cmd_approx(kind):
-    def handler(parser, args):
-        _check_bound("--k", args.k, APPROX_MAX_K)
-        results = [ms.zeta_zigzag_approx(kind, args.k, n) for n in args.n]
-        payload = {
-            "kind": kind,
-            "k": args.k,
-            "rows": [
-                {
-                    "n": r.n,
-                    "approx": r.approx,
-                    "target": r.target,
-                    "rel_error": r.rel_error,
-                }
-                for r in results
-            ],
-        }
-        table = [(r.kind, r.k, r.n, r.approx, r.target, r.rel_error) for r in results]
-        _emit(args, payload, ("kind", "k", "n", "approx", "target", "rel_error"), table)
-        return 0
-
-    return handler
-
-
-def _atoms_payload(args, measure, extra: dict):
-    payload = dict(extra)
-    payload["total_mass"] = measure.total_mass()
-    payload["atoms"] = [
-        {"location": loc, "mass": mass} for loc, mass in measure.atoms
+def _cmd_approx(args):
+    rows = [
+        (r.kind, r.k, r.n, r.approx, r.target, r.rel_error)
+        for r in (ms.zeta_zigzag_approx(args.command, args.k, n) for n in args.n)
     ]
-    rows = list(measure.atoms)
-    _emit(args, payload, ("location", "mass"), rows)
+    payload = {"kind": args.command, "k": args.k}
+    header = ("kind", "k", "n", "approx", "target", "rel_error")
+    _emit_table(args, payload, "rows", header, rows, skip=2)
+    return 0
 
 
-def _cmd_measure_atoms(parser, args):
-    _check_bound("--pairs", args.pairs, MEASURE_MAX_PAIRS)
+def _cmd_measure_atoms(args):
     measure = ms.tangent_atoms(args.pairs)
-    _atoms_payload(args, measure, {"pairs": args.pairs})
+    payload = {"pairs": args.pairs, "total_mass": measure.total_mass()}
+    _emit_table(args, payload, "atoms", ("location", "mass"), measure.atoms)
     return 0
 
 
-def _cmd_measure_levy(parser, args):
-    _check_bound("--terms", args.terms, MEASURE_MAX_PAIRS)
+def _cmd_measure_levy(args):
     measure = ms.levy_atoms(args.terms)
-    _atoms_payload(args, measure, {"terms": args.terms})
+    payload = {"terms": args.terms, "total_mass": measure.total_mass()}
+    _emit_table(args, payload, "atoms", ("location", "mass"), measure.atoms)
     return 0
 
 
-def _cmd_measure_moments(parser, args):
-    _check_bound("--pairs", args.pairs, MEASURE_MAX_PAIRS)
-    _check_bound("--order", args.order, MOMENTS_MAX_ORDER)
-    measure = ms.tangent_atoms(args.pairs)
-    rows = ms.moment_consistency(measure, args.order)
-    payload = {
-        "pairs": args.pairs,
-        "m_max": args.order,
-        "rows": [
-            {
-                "m": row.m,
-                "atom": row.atom_moment,
-                "series": row.series_moment,
-                "error": row.error,
-            }
-            for row in rows
-        ],
-    }
-    table = [(row.m, row.atom_moment, row.series_moment, row.error) for row in rows]
-    _emit(args, payload, ("m", "atom", "series", "error"), table)
+def _cmd_measure_moments(args):
+    rows = [
+        (row.m, row.atom_moment, row.series_moment, row.error)
+        for row in ms.moment_consistency(ms.tangent_atoms(args.pairs), args.order)
+    ]
+    payload = {"pairs": args.pairs, "m_max": args.order}
+    _emit_table(args, payload, "rows", ("m", "atom", "series", "error"), rows)
     return 0
 
 
@@ -433,12 +399,26 @@ def _build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
 
     def sub(group_parser, name, handler, **flag_defs):
+        """Add a subcommand.  A flag's bound (and count, for a list) goes
+        to args.bounds for _check_bounds, not to argparse."""
         p = group_parser.add_parser(name)
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+        bounds = []
         for flag, defn in flag_defs.items():
-            p.add_argument(flag, **defn)
-        p.set_defaults(handler=handler, parser=p)
+            defn = dict(defn)
+            limit, count = defn.pop("bound", None), defn.pop("count", None)
+            action = p.add_argument(flag, **defn)
+            if limit is not None:
+                bounds.append((flag, action.dest, limit, count))
+        p.set_defaults(handler=handler, parser=p, bounds=bounds)
         return p
+
+    def bounded(limit):
+        return dict(type=int, required=True, bound=limit)
+
+    n_list = dict(
+        type=_int_list, required=True, bound=MODEL_MAX_N, count=MODEL_MAX_COUNT
+    )
 
     partitions = groups.add_parser("partitions").add_subparsers(
         dest="command", required=True
@@ -447,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         partitions,
         "enumerate",
         _cmd_partitions_enumerate,
-        **{"--n": dict(type=int, required=True)},
+        **{"--n": bounded(PARTITIONS_MAX_N)},
     )
 
     cumulants = groups.add_parser("cumulants").add_subparsers(
@@ -460,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--matrix": dict(action="append"),
             "--dist": dict(required=True),
-            "--order": dict(type=int, required=True),
+            "--order": bounded(QF_MAX_ORDER),
         },
     )
     sub(
@@ -470,8 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--matrix": dict(action="append"),
             "--dist": dict(required=True),
-            "--order": dict(type=int, required=True),
-            "--n": dict(type=int, default=2),
+            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
+            "--n": dict(type=int, default=2, bound=ORACLE_CHECK_MAX_N),
             "--seed": dict(type=int, default=0),
         },
     )
@@ -488,13 +468,16 @@ def _build_parser() -> argparse.ArgumentParser:
         matrix,
         "independence",
         _cmd_matrix_independence,
-        **{"--matrix": dict(action="append"), "--k": dict(type=int)},
+        **{
+            "--matrix": dict(action="append"),
+            "--k": dict(type=int, bound=INDEPENDENCE_MAX_K),
+        },
     )
     sub(
         matrix,
         "h-series",
         _cmd_matrix_h_series,
-        **{"--matrix": dict(action="append"), "--order": dict(type=int, required=True)},
+        **{"--matrix": dict(action="append"), "--order": bounded(H_SERIES_MAX_ORDER)},
     )
 
     stats = groups.add_parser("stats").add_subparsers(dest="command", required=True)
@@ -503,9 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "sample-variance",
         _cmd_stats_sample_variance,
         **{
-            "--n": dict(type=int, required=True),
+            "--n": bounded(MODEL_MAX_N),
             "--dist": dict(required=True),
-            "--order": dict(type=int, required=True),
+            "--order": bounded(STATS_MAX_ORDER),
         },
     )
     sub(
@@ -515,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--shifts": dict(required=True),
             "--dist": dict(required=True),
-            "--order": dict(type=int, required=True),
+            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
         },
     )
     sub(
@@ -525,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--weights": dict(required=True),
             "--dist": dict(required=True),
-            "--order": dict(type=int, required=True),
+            "--order": bounded(STATS_MAX_ORDER),
         },
     )
 
@@ -537,45 +520,35 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--a": dict(required=True),
             "--b": dict(required=True),
-            "--n": dict(type=_int_list, required=True),
-            "--order": dict(type=int, required=True),
+            "--n": n_list,
+            "--order": bounded(LIMIT_MAX_ORDER),
         },
     )
 
     approx = groups.add_parser("approx").add_subparsers(dest="command", required=True)
     for kind in ("zeta", "tangent", "zigzag"):
-        sub(
-            approx,
-            kind,
-            _cmd_approx(kind),
-            **{
-                "--k": dict(type=int, required=True),
-                "--n": dict(type=_int_list, required=True),
-            },
-        )
+        sub(approx, kind, _cmd_approx, **{"--k": bounded(APPROX_MAX_K), "--n": n_list})
 
     measure = groups.add_parser("measure").add_subparsers(dest="command", required=True)
-    sub(measure, "atoms", _cmd_measure_atoms, **{"--pairs": dict(type=int, required=True)})
-    sub(measure, "levy", _cmd_measure_levy, **{"--terms": dict(type=int, required=True)})
+    pairs = bounded(MEASURE_MAX_PAIRS)
+    sub(measure, "atoms", _cmd_measure_atoms, **{"--pairs": pairs})
+    sub(measure, "levy", _cmd_measure_levy, **{"--terms": pairs})
     sub(
         measure,
         "moments",
         _cmd_measure_moments,
-        **{"--pairs": dict(type=int, required=True), "--order": dict(type=int, required=True)},
+        **{"--pairs": pairs, "--order": bounded(MOMENTS_MAX_ORDER)},
     )
 
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args.parser, args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        _check_bounds(args)
+        return args.handler(args)
+    except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

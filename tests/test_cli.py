@@ -1,6 +1,7 @@
 """End-to-end command-line checks: every subcommand, all three formats,
 deterministic bytes, and the documented exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,8 @@ from bqf.cli import (
     INDEPENDENCE_MAX_K,
     LIMIT_MAX_ORDER,
     MEASURE_MAX_PAIRS,
+    MODEL_MAX_COUNT,
+    MODEL_MAX_N,
     MOMENTS_MAX_ORDER,
     ORACLE_CHECK_MAX_N,
     ORACLE_CHECK_MAX_ORDER,
@@ -615,8 +618,30 @@ def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
             "--n",
         ),
     ]
+    # the model sizes: a list takes at most MODEL_MAX_COUNT of them, and the
+    # exact rationals grow with their digits; the oracle's --n holds with
+    # --matrix too, and a bound refuses before a missing file is read
+    big_n, many_n = str(MODEL_MAX_N + 1), ",".join(["4"] * (MODEL_MAX_COUNT + 1))
+    tangent = ["limit", "tangent", "--a", "1/2", "--b", "1", "--order", "2"]
+    cases += [
+        (tangent + ["--n", big_n], "--n"),
+        (tangent + ["--n", many_n], "--n"),
+        (["stats", "sample-variance", "--n", big_n, *dist, "--order", "2"], "--n"),
+        (
+            ["cumulants", "oracle-check", "--matrix", c3, *dist, "--order", "2"]
+            + ["--n", str(ORACLE_CHECK_MAX_N + 1)],
+            "--n",
+        ),
+        (
+            ["cumulants", "qf", "--matrix", c3 + ".missing", *dist]
+            + ["--order", str(QF_MAX_ORDER + 1)],
+            "--order",
+        ),
+    ]
     for kind in ("zeta", "tangent", "zigzag"):
         cases.append((["approx", kind, "--k", str(APPROX_MAX_K + 1), "--n", "4"], "--k"))
+        cases.append((["approx", kind, "--k", "1", "--n", f"4,{big_n}"], "--n"))
+        cases.append((["approx", kind, "--k", "1", "--n", many_n], "--n"))
     stats_order = ["--order", str(STATS_MAX_ORDER + 1)]
     cases += [
         (["stats", "sample-variance", "--n", "3", *dist, *stats_order], "--order"),
@@ -709,19 +734,117 @@ def test_main_uses_provided_argv(capsys):
     assert payload["count"] == 1
 
 
+# sha256 of the stdout of each README example in json, csv and plain: the
+# CLI's bytes are a contract, so a refactor of the output code keeps them
+README_STDOUT_SHA256 = {
+    "bqf partitions enumerate --n 3": (
+        "97bf7f1588521c9d65c33a0115e0956c9976820ec576200a7ab69276bb30d364",
+        "2c2551ed8f4ed37aeb2faf767308d40b5067f8376fb32543e56807a4ff5c3376",
+        "9e0f238d74a8b11dff71aaa5c68cecfd3fab989508f1a317ca57d6dd2b17abea",
+    ),
+    "bqf cumulants qf --matrix a.json --dist gaussian:c=1,v=2 --order 4": (
+        "46c0f409e2f82e1ea9d52b16ec385615ea4c4336ae5a76f1102ce8a7e93ff9d9",
+        "6711a38a61b64526ee8621375b2cc69752630d943f3e9c2fa93eaf5aeea5e640",
+        "213d5f38ec95f635d0a83e81b3adae488b0b34a9096c3f854d2e60e10d2047cc",
+    ),
+    "bqf cumulants oracle-check --n 3 --dist gaussian:c=1,v=2 --order 3 --seed 7": (
+        "5a1fe0c0c7ddccee7ca4fb1d1535160a54163955f5c1e8ffaeb3fa7309e01fda",
+        "a4f93b2f1a3d4b5d061920921e522d358be061c39b12f2a68bbed64cd1ecd17b",
+        "463031a19fbdbbdb5114bc7759a9e448910e0fb7f5baee728be31eb63f68b1d9",
+    ),
+    "bqf cumulants convert --moments 1,2,3,5": (
+        "969a1e91bb30a8c02135e429828d6c63fb25a3a0fb5b8df0cd72deddb6fa74bf",
+        "3bdbaff0d918a0990a7e73c6f9de638a54c09eb1c291f644a0ae0482887b4dfd",
+        "b376535b1b7aa9c1d9ab3d950a09e2d1dc529c6848872bcfe0705bbca7939191",
+    ),
+    "bqf cumulants convert --cumulants 1,1,1,2": (
+        "26360783d3a88941f9afad840f1488d369dc94629e647fd1b66d07a2961c36a7",
+        "051a0c042cfe59857ab7e05176563289e3d015edd3d6adba448d391f8964ee24",
+        "8cddbb078fee32786de9d5f2b2ea1ecc61363100542cd9d2c53d6c50fa1db4a2",
+    ),
+    "bqf matrix check --matrix a.json": (
+        "0b59bdb8df7eaacd2e536e5f95808be0501e28f530ee2d60564f89087a656728",
+        "807f80a7fab0e83ae7a4faf4d4de0fbad3a241cb3b11a919a7095cacb0038bce",
+        "6ee60ed38091e57694933f2d610d015d5ef5dcf8a1a0e27e1d3a048629a0509a",
+    ),
+    "bqf matrix independence --matrix a.json --matrix b.json --k 6": (
+        "5d72f1d49ac52a0e35e64e920c68e6c6b935060376ec62c4e4e09d85da37f1d1",
+        "3100703ed57ef79471670ddebc2ad60cf3f00fced810dbdd6cf5e971342a3a50",
+        "6a2854657f53935ce4b601e87cd7ff95d6cf27766f085117874aede5908022f3",
+    ),
+    "bqf matrix h-series --matrix a.json --order 6": (
+        "c96ec138cfc8971984bfdb6c56aa1c826c946df5b127b1b2382631be59fe0637",
+        "484ac24c435e4b01a8db5d6a9c822027dd43c9abc1803fcc423c394567786957",
+        "101c11d2984f463b3eabf8a402d3ab99f9c122eb08e5562dfa6c2654f31be835",
+    ),
+    "bqf stats sample-variance --n 3 --dist gaussian:c=0,v=1 --order 2": (
+        "c7ce789ed0d5178444182946609c4d1a63a480fc3830c7f3bf6b2a32ff4b9c90",
+        "bb3d938f0961f76ca500affbfd25c47ae21aa7bf058d14787fa6133953a945c8",
+        "cc1e3202d20e2411f3819b46e715ccb154f1c00071e59f4f99929840503ff9f7",
+    ),
+    "bqf stats shifted-sos --shifts 3,4,0 --dist gaussian:c=0,v=1 --order 3": (
+        "b7c5a38304014180141ef7b94335773fbb15f49f5dbcb064b573de5be1260373",
+        "8309b91d28fe565b3342f4158399e817bf34c2b9e6a60a9bda29e4320e35c397",
+        "2652c70bcc20c961bd2ac6a3e778fc1fc0cef0ab499435798f82fe842d259529",
+    ),
+    "bqf stats symmetrized --weights 1,0,-1 --dist custom:1,2,3,5 --order 2": (
+        "366d19772a12e235033692933419884bd0048e616342811cc06c5fb7c365c261",
+        "1754c603cfdd12ab5cf0377d7a33450e04d7ed698c38486a70f0231905bad69e",
+        "4969edff3380acd858b2c414140ea3185092f66a1989e8c7e643fdd922675e83",
+    ),
+    "bqf limit tangent --a 0 --b 1 --n 100,200 --order 2 --format csv": (
+        "4404295395ec610fff9910c16213849de5db3db5468622c36f6479afcf4c49d7",
+        "15af2bd4dcced7aa967cfe7081614902935fc92e772a998bde73827379ebc5dc",
+        "a6a19be58e993a7f3aaae62f7490e929d2764ab983eea52d32f0bdc9878d8a8e",
+    ),
+    "bqf approx zeta --k 1 --n 100 --format csv": (
+        "496d145f8d5017bd8173e7e0107ed85d470c1e269e55a65def17a9f894eade80",
+        "1ba7d29e683f77e6ad07e60b539624383100f702a2ab0545ef41237c9c1f1b4a",
+        "3f458f9ffe2b2c9bbb4b29a609b6cfcbda9858024e29a6abc25fcd159a2f71b4",
+    ),
+    "bqf approx tangent --k 1 --n 200": (
+        "d2ea1a097cf0c5307fb040549b93d3d844393aee6d7071e65ab248cb38b2ca49",
+        "ff68d6e5b9e7a1491499bc719b04da07989b4ab824fcc6fab0fa503b8076ef5d",
+        "0e3f451037052def73e0f472cf32dc9f4bedcab875acb363177e59999f383480",
+    ),
+    "bqf approx zigzag --k 4 --n 200 --format csv": (
+        "ce9cb65b77d7eb8e3fbd74ea8271a6b5586b8733e50aa4ef6a5483652beb44d2",
+        "cb8db138b29e67d590c49a38f114779dc7d9b8ab5e5438d73ec40ba93d76e475",
+        "f11c1b3ab27af88aa615da2124e44ced397907003989c2be7394c7997e08dc76",
+    ),
+    "bqf measure atoms --pairs 50": (
+        "905b95b88cbf7db8dcd7d91a2377abbade8a582df0615400d1937a7cac25e89b",
+        "ef9ed622a289901a73e789b0fb5b1e7d584a589d02811c7357d6086f8fdb3fa8",
+        "5d69f4b9ba2703e8a539b7814573302acf389e7cc31e32e554c45f6bfb0303cd",
+    ),
+    "bqf measure levy --terms 10000": (
+        "318fced8103fa5d11e1797a329b500b39d3494c2d67832354fbdbd91195032d3",
+        "eaa7b410c8c332d6f816ccad0f3b579e93e15e3574dfd8c0145a86a91f88a91c",
+        "91e06f9ce52f4176afdf2a3fcdbc3d4dfb32f21dcdee97d451903112caa43ce3",
+    ),
+    "bqf measure moments --pairs 50 --order 4 --format csv": (
+        "8f9d537725f3a3f90629260fedf0602d388752a62292e8f96ddd85279937ea94",
+        "d5b71ffbcc286eb3f53468a61a714d763132f18d183bb72d5fe887a890c154ff",
+        "cf1a8b9c9602ba868d04926ab98dc3168e2e58d6588ee74e7729f07506805b83",
+    ),
+}
+
+
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
     # every bqf line of the README's example block, with a.json and b.json
-    # two real symmetric 3 x 3 matrices
+    # two real symmetric 3 x 3 matrices, prints the recorded bytes in each
+    # format
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
         text = handle.read()
     block = re.search(r"## Command-line tool.*?```sh\n(.*?)```", text, re.S).group(1)
     lines = [line for line in block.splitlines() if line.startswith("bqf ")]
-    assert lines
+    assert lines == list(README_STDOUT_SHA256)
     save_matrix(HermitianMatrix(COUPLED3_A), tmp_path / "a.json")
     save_matrix(HermitianMatrix(COUPLED3_B), tmp_path / "b.json")
     monkeypatch.chdir(tmp_path)
     for line in lines:
-        code, out, err = invoke(capsys, shlex.split(line)[1:])
-        assert (code, err) == (0, ""), line
-        assert out
+        for fmt, want in zip(("json", "csv", "plain"), README_STDOUT_SHA256[line]):
+            code, out, err = invoke(capsys, shlex.split(line)[1:] + ["--format", fmt])
+            assert (code, err) == (0, ""), line
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (line, fmt)
