@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter: parse flags, call one library
-operation, format.  Output is byte-identical across runs for identical
-inputs: JSON uses fixed key order and two-space indentation, exact
-rationals appear as "p/q" strings, and binary64 values ride inside a
-{"float": true, "value": "<17 significant digits>"} wrapper so that no
-reader can mistake them for exact data.
+operation, format.  Each handler imports only the library layers it
+calls, so a subcommand's start-up pays for no other layer.  Output is
+byte-identical across runs for identical inputs: JSON uses fixed key
+order and two-space indentation, exact rationals appear as "p/q"
+strings, and binary64 values ride inside a {"float": true, "value":
+"<17 significant digits>"} wrapper so that no reader can mistake them
+for exact data.
 
 Exit codes: 0 on success, 1 on domain errors (bad matrix data, orders out
 of range, and the oracle-check command finding a mismatch), 2 on usage
@@ -13,21 +15,19 @@ errors.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
-from . import cumulants as cm
-from . import matrices as mx
-from . import measure as ms
-from . import partitions as pt
-from . import stats as st
 from .errors import DomainError
-from .rationals import format_rational, parse_rational, parse_rational_list
+from .rationals import (
+    format_rational,
+    parse_rational,
+    parse_rational_list,
+    split_list,
+)
 
 # Each bound sits on its flag's declaration in _build_parser (bound=, and
 # count= for the length of a list) and is checked before any work starts
@@ -61,19 +61,33 @@ MOMENTS_MAX_ORDER = 200
 # --k 32 busy for 15 s), and each listed n costs one series.
 MODEL_MAX_N = 1_000_000
 MODEL_MAX_COUNT = 16
+# Bounds on the rational lists, counted before they are parsed.  At stats
+# symmetrized --order 1000 the values carry ((n-1)!)^r: 16 Poisson weights
+# take 2.7 s (6.5 MB of JSON), 50 take 33 s.  The moment-cumulant
+# conversion is about cubic in the length: 400 values with distinct
+# denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
+STATS_MAX_WEIGHTS = 16
+CONVERT_MAX_VALUES = 400
 
 
 def _check_bounds(args):
-    """Refuse the first bounded flag, in declaration order, above its limit."""
+    """Refuse the first bounded flag, in declaration order, above its limit
+    or holding more than its count of values."""
     for flag, dest, limit, count in args.bounds:
         value = getattr(args, dest)
-        if isinstance(value, list):
-            if len(value) > count:
+        if value is None:
+            continue
+        if count is not None:
+            # a rational list stays text until its handler parses it
+            values = split_list(value) if isinstance(value, str) else value
+            if len(values) > count:
                 raise DomainError(
-                    f"{flag} takes at most {count} values, got {len(value)}"
+                    f"{flag} takes at most {count} values, got {len(values)}"
                 )
-            value = max(value)
-        if value is not None and value > limit:
+            if limit is None:
+                continue
+            value = max(values)
+        if value > limit:
             raise DomainError(f"{flag} must be at most {limit}, got {value}")
 
 
@@ -117,6 +131,8 @@ def _emit(args, payload: dict, header=None, rows=None):
         header = ("key", "value")
         rows = [(k, v) for k, v in payload.items() if not isinstance(v, (list, dict))]
     if args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -138,7 +154,7 @@ def _emit_table(args, payload: dict, key: str, header, rows, skip: int = 0):
 
 def _int_list(text: str) -> list:
     try:
-        values = [int(piece) for piece in text.split(",") if piece.strip()]
+        values = [int(piece) for piece in split_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
     if not values:
@@ -148,6 +164,8 @@ def _int_list(text: str) -> list:
 
 def _matrices(args, count: int) -> list:
     """Load the --matrix files, a usage error unless exactly count were given."""
+    from . import matrices as mx
+
     paths = args.matrix or []
     if len(paths) != count:
         args.parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
@@ -158,6 +176,8 @@ def _matrices(args, count: int) -> list:
 
 
 def _cmd_partitions_enumerate(args):
+    from . import partitions as pt
+
     parts = pt.enumerate_interval(args.n)
     payload = {
         "n": args.n,
@@ -173,6 +193,8 @@ def _cmd_partitions_enumerate(args):
 
 
 def _cmd_cumulants_qf(args):
+    from . import cumulants as cm, matrices as mx
+
     (matrix,) = _matrices(args, 1)
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = mx.qf_cumulants_iid(matrix, seq, args.order)
@@ -187,10 +209,14 @@ def _cmd_cumulants_qf(args):
 
 
 def _cmd_cumulants_oracle_check(args):
+    from . import cumulants as cm, matrices as mx
+
     if args.matrix:
         (matrix,) = _matrices(args, 1)
         source = args.matrix[0]
     else:
+        import random
+
         rng = random.Random(args.seed)
         matrix = mx.random_hermitian(rng, args.n, complex_entries=False)
         source = f"sampled(seed={args.seed})"
@@ -213,8 +239,10 @@ def _cmd_cumulants_oracle_check(args):
     return 0 if equal else 1
 
 
-def _qf_polynomial(matrix) -> cm.NCPolynomial:
-    """sum_{j,k} a_{jk} X_j X_k as a polynomial with rational coefficients."""
+def _qf_polynomial(matrix):
+    """sum_{j,k} a_{jk} X_j X_k as an NCPolynomial with rational coefficients."""
+    from . import cumulants as cm
+
     terms = []
     for j in range(matrix.n):
         for k in range(matrix.n):
@@ -230,6 +258,8 @@ def _qf_polynomial(matrix) -> cm.NCPolynomial:
 
 
 def _cmd_cumulants_convert(args):
+    from . import cumulants as cm
+
     if args.moments is not None:
         values = parse_rational_list(args.moments)
         order = len(values) if args.order is None else args.order
@@ -256,6 +286,8 @@ def _cmd_cumulants_convert(args):
 
 
 def _cmd_matrix_check(args):
+    from . import matrices as mx
+
     (matrix,) = _matrices(args, 1)
     report = mx.zero_sum_checks(matrix)
     payload = {
@@ -271,6 +303,8 @@ def _cmd_matrix_check(args):
 
 
 def _cmd_matrix_independence(args):
+    from . import matrices as mx
+
     a, b = _matrices(args, 2)
     result = mx.independence_check(a, b, args.k)
     requested = args.k if args.k is not None else 2 * a.n
@@ -286,6 +320,8 @@ def _cmd_matrix_independence(args):
 
 
 def _cmd_matrix_h_series(args):
+    from . import matrices as mx
+
     (matrix,) = _matrices(args, 1)
     series = mx.h_series_qf(matrix, args.order)
     payload = {
@@ -299,6 +335,8 @@ def _cmd_matrix_h_series(args):
 
 
 def _cmd_stats_sample_variance(args):
+    from . import cumulants as cm, stats as st
+
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [
         st.sample_variance_cumulant(args.n, seq, r) for r in range(1, args.order + 1)
@@ -309,6 +347,8 @@ def _cmd_stats_sample_variance(args):
 
 
 def _cmd_stats_shifted_sos(args):
+    from . import cumulants as cm, stats as st
+
     shifts = st.ShiftVector(parse_rational_list(args.shifts))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     family = cm.constant_family(seq, len(shifts.shifts))
@@ -325,6 +365,8 @@ def _cmd_stats_shifted_sos(args):
 
 
 def _cmd_stats_symmetrized(args):
+    from . import cumulants as cm, stats as st
+
     form = st.LinearFormSpec(parse_rational_list(args.weights))
     seq = cm.parse_distribution(args.dist, 2 * args.order)
     values = [
@@ -341,6 +383,8 @@ def _cmd_stats_symmetrized(args):
 
 
 def _cmd_limit_tangent(args):
+    from . import measure as ms
+
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     rows = [
@@ -354,6 +398,8 @@ def _cmd_limit_tangent(args):
 
 
 def _cmd_approx(args):
+    from . import measure as ms
+
     rows = [
         (r.kind, r.k, r.n, r.approx, r.target, r.rel_error)
         for r in (ms.zeta_zigzag_approx(args.command, args.k, n) for n in args.n)
@@ -365,6 +411,8 @@ def _cmd_approx(args):
 
 
 def _cmd_measure_atoms(args):
+    from . import measure as ms
+
     measure = ms.tangent_atoms(args.pairs)
     payload = {"pairs": args.pairs, "total_mass": measure.total_mass()}
     _emit_table(args, payload, "atoms", ("location", "mass"), measure.atoms)
@@ -372,6 +420,8 @@ def _cmd_measure_atoms(args):
 
 
 def _cmd_measure_levy(args):
+    from . import measure as ms
+
     measure = ms.levy_atoms(args.terms)
     payload = {"terms": args.terms, "total_mass": measure.total_mass()}
     _emit_table(args, payload, "atoms", ("location", "mass"), measure.atoms)
@@ -379,6 +429,8 @@ def _cmd_measure_levy(args):
 
 
 def _cmd_measure_moments(args):
+    from . import measure as ms
+
     rows = [
         (row.m, row.atom_moment, row.series_moment, row.error)
         for row in ms.moment_consistency(ms.tangent_atoms(args.pairs), args.order)
@@ -399,19 +451,24 @@ def _build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
 
     def sub(group_parser, name, handler, **flag_defs):
-        """Add a subcommand.  A flag's bound (and count, for a list) goes
-        to args.bounds for _check_bounds, not to argparse."""
+        """Add a subcommand.  A flag's bound and count (of a list's values)
+        go to args.bounds for _check_bounds, not to argparse; the flags
+        marked one_of form one required mutually exclusive group."""
         p = group_parser.add_parser(name)
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
         bounds = []
+        one_of = None
         for flag, defn in flag_defs.items():
             defn = dict(defn)
             limit, count = defn.pop("bound", None), defn.pop("count", None)
-            action = p.add_argument(flag, **defn)
-            if limit is not None:
+            target = p
+            if defn.pop("one_of", False):
+                one_of = one_of or p.add_mutually_exclusive_group(required=True)
+                target = one_of
+            action = target.add_argument(flag, **defn)
+            if limit is not None or count is not None:
                 bounds.append((flag, action.dest, limit, count))
         p.set_defaults(handler=handler, parser=p, bounds=bounds)
-        return p
 
     def bounded(limit):
         return dict(type=int, required=True, bound=limit)
@@ -455,12 +512,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed": dict(type=int, default=0),
         },
     )
-    convert = sub(
-        cumulants, "convert", _cmd_cumulants_convert, **{"--order": dict(type=int)}
+    given = dict(one_of=True, count=CONVERT_MAX_VALUES)
+    sub(
+        cumulants,
+        "convert",
+        _cmd_cumulants_convert,
+        **{"--order": dict(type=int), "--moments": given, "--cumulants": given},
     )
-    given = convert.add_mutually_exclusive_group(required=True)
-    given.add_argument("--moments")
-    given.add_argument("--cumulants")
 
     matrix = groups.add_parser("matrix").add_subparsers(dest="command", required=True)
     sub(matrix, "check", _cmd_matrix_check, **{"--matrix": dict(action="append")})
@@ -506,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "symmetrized",
         _cmd_stats_symmetrized,
         **{
-            "--weights": dict(required=True),
+            "--weights": dict(required=True, count=STATS_MAX_WEIGHTS),
             "--dist": dict(required=True),
             "--order": bounded(STATS_MAX_ORDER),
         },

@@ -24,10 +24,15 @@ def format_rational(value) -> str:
     return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
+def split_list(text: str) -> list[str]:
+    """The non-empty pieces of a comma-separated list, stripped."""
+    pieces = [piece.strip() for piece in str(text).split(",")]
+    return [piece for piece in pieces if piece]
+
+
 def parse_rational_list(text: str) -> list[Fraction]:
     """Parse a comma-separated rational list like "1,-1/2,0"."""
-    pieces = [piece.strip() for piece in str(text).split(",")]
-    pieces = [piece for piece in pieces if piece]
+    pieces = split_list(text)
     if not pieces:
         raise DomainError(f"empty rational list: {text!r}")
     return [parse_rational(piece) for piece in pieces]

@@ -15,6 +15,7 @@ import pytest
 import bqf
 from bqf.cli import (
     APPROX_MAX_K,
+    CONVERT_MAX_VALUES,
     H_SERIES_MAX_ORDER,
     INDEPENDENCE_MAX_K,
     LIMIT_MAX_ORDER,
@@ -27,6 +28,7 @@ from bqf.cli import (
     PARTITIONS_MAX_N,
     QF_MAX_ORDER,
     STATS_MAX_ORDER,
+    STATS_MAX_WEIGHTS,
     main,
     run,
 )
@@ -652,6 +654,16 @@ def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
             "--order",
         ),
     ]
+    # the rational lists are counted before any piece is parsed
+    weights = ",".join(["x"] * (STATS_MAX_WEIGHTS + 1))
+    values = ",".join(["x"] * (CONVERT_MAX_VALUES + 1))
+    convert = ["cumulants", "convert", "--order", "2"]
+    cases += [
+        (["stats", "symmetrized", "--weights", weights, *dist, "--order", "2"],
+         "--weights"),
+        (convert + ["--moments", values], "--moments"),
+        (convert + ["--cumulants", values], "--cumulants"),
+    ]
     for argv, flag in cases:
         code, out, err = invoke(capsys, argv)
         assert code == 1
@@ -703,6 +715,38 @@ def test_main_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "cuts  blocks"
+
+
+def test_each_subcommand_imports_only_the_layers_it_calls():
+    # start-up is most of a CLI call, so a subcommand loads no layer it
+    # never calls; a fresh child per case lists the bqf modules it loaded
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
+    layers = {"partitions", "cumulants", "matrices", "series", "stats", "measure"}
+    cases = [
+        ([], layers),
+        (["approx", "zeta", "--k", "1", "--n", "10"], layers - {"series", "measure"}),
+        (
+            ["partitions", "enumerate", "--n", "3"],
+            {"series", "measure", "matrices", "cumulants"},
+        ),
+    ]
+    script = (
+        "import sys\n"
+        "import bqf.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert bqf.cli.main(sys.argv[1:]) == 0\n"
+        "print(*(m[4:] for m in sys.modules if m.startswith('bqf.')), file=sys.stderr)\n"
+    )
+    for argv, unwanted in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert not loaded & unwanted, (argv, sorted(loaded))
 
 
 def test_zeta_approximations_run_without_numpy():
