@@ -162,6 +162,23 @@ def _int_list(text: str) -> list:
     return values
 
 
+def _sequence(args):
+    """The --dist preset with the 2 * --order cumulants the engine needs,
+    once --order is known to be positive."""
+    from . import cumulants as cm
+
+    if args.order < 1:
+        raise DomainError(f"order must be positive, got {args.order}")
+    return cm.parse_distribution(args.dist, 2 * args.order)
+
+
+def _emit_cumulants(args, head: dict, values):
+    """Print K_1..K_order as the (r, value) table; in JSON, head followed
+    by dist, order and cumulants."""
+    payload = {**head, "dist": args.dist, "order": args.order, "cumulants": values}
+    _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
+
+
 def _matrices(args, count: int) -> list:
     """Load the --matrix files, a usage error unless exactly count were given."""
     from . import matrices as mx
@@ -193,18 +210,11 @@ def _cmd_partitions_enumerate(args):
 
 
 def _cmd_cumulants_qf(args):
-    from . import cumulants as cm, matrices as mx
+    from . import matrices as mx
 
     (matrix,) = _matrices(args, 1)
-    seq = cm.parse_distribution(args.dist, 2 * args.order)
-    values = mx.qf_cumulants_iid(matrix, seq, args.order)
-    payload = {
-        "n": matrix.n,
-        "dist": args.dist,
-        "order": args.order,
-        "cumulants": values,
-    }
-    _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
+    values = mx.qf_cumulants_iid(matrix, _sequence(args), args.order)
+    _emit_cumulants(args, {"n": matrix.n}, values)
     return 0
 
 
@@ -220,7 +230,7 @@ def _cmd_cumulants_oracle_check(args):
         rng = random.Random(args.seed)
         matrix = mx.random_hermitian(rng, args.n, complex_entries=False)
         source = f"sampled(seed={args.seed})"
-    seq = cm.parse_distribution(args.dist, 2 * args.order)
+    seq = _sequence(args)
     family = cm.constant_family(seq, matrix.n)
     engine = mx.qf_cumulants_iid(matrix, seq, args.order)
     oracle = cm.element_cumulants(_qf_polynomial(matrix), family, args.order).values
@@ -335,14 +345,10 @@ def _cmd_matrix_h_series(args):
 
 
 def _cmd_stats_sample_variance(args):
-    from . import cumulants as cm, stats as st
+    from . import stats as st
 
-    seq = cm.parse_distribution(args.dist, 2 * args.order)
-    values = [
-        st.sample_variance_cumulant(args.n, seq, r) for r in range(1, args.order + 1)
-    ]
-    payload = {"n": args.n, "dist": args.dist, "order": args.order, "cumulants": values}
-    _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
+    values = st.sample_variance_cumulants(args.n, _sequence(args), args.order)
+    _emit_cumulants(args, {"n": args.n}, values)
     return 0
 
 
@@ -350,35 +356,19 @@ def _cmd_stats_shifted_sos(args):
     from . import cumulants as cm, stats as st
 
     shifts = st.ShiftVector(parse_rational_list(args.shifts))
-    seq = cm.parse_distribution(args.dist, 2 * args.order)
-    family = cm.constant_family(seq, len(shifts.shifts))
+    family = cm.constant_family(_sequence(args), len(shifts.shifts))
     values = st.shifted_sos_cumulants(shifts, family, args.order)
-    payload = {
-        "shifts": list(shifts.shifts),
-        "sum_squares": shifts.s,
-        "dist": args.dist,
-        "order": args.order,
-        "cumulants": values,
-    }
-    _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
+    head = {"shifts": list(shifts.shifts), "sum_squares": shifts.s}
+    _emit_cumulants(args, head, values)
     return 0
 
 
 def _cmd_stats_symmetrized(args):
-    from . import cumulants as cm, stats as st
+    from . import stats as st
 
     form = st.LinearFormSpec(parse_rational_list(args.weights))
-    seq = cm.parse_distribution(args.dist, 2 * args.order)
-    values = [
-        st.symmetrized_square_cumulant(form, seq, r) for r in range(1, args.order + 1)
-    ]
-    payload = {
-        "weights": list(form.weights),
-        "dist": args.dist,
-        "order": args.order,
-        "cumulants": values,
-    }
-    _emit(args, payload, ("r", "value"), list(enumerate(values, start=1)))
+    values = st.symmetrized_square_cumulants(form, _sequence(args), args.order)
+    _emit_cumulants(args, {"weights": list(form.weights)}, values)
     return 0
 
 

@@ -72,27 +72,12 @@ class AtomicMeasure:
         return math.fsum(mass for _, mass in self.atoms)
 
     def moment(self, m: int) -> float:
-        """The m-th moment; exploits the +-x symmetry so that odd moments
-        of a symmetric measure come out exactly zero."""
+        """The m-th moment, rounded once.  Float ** gives (-x)^m = -(x^m)
+        for odd m, so the odd moments of a symmetric measure cancel to
+        exactly zero."""
         if m < 0:
             raise DomainError(f"moment order must be nonnegative, got {m}")
-        if m == 0:
-            return self.total_mass()
-        negatives = {-loc: mass for loc, mass in self.atoms if loc < 0}
-        parts = []
-        for loc, mass in self.atoms:
-            if loc <= 0:
-                continue  # negatives pair with their positive partner; zero adds nothing
-            partner = negatives.pop(loc, None)
-            if partner is None:
-                parts.append(mass * loc**m)
-            elif m % 2 == 0:
-                parts.append((mass + partner) * loc**m)
-            else:
-                parts.append((mass - partner) * loc**m)
-        for loc, mass in negatives.items():
-            parts.append(mass * (-loc) ** m)
-        return math.fsum(parts)
+        return math.fsum(mass * loc**m for loc, mass in self.atoms)
 
 
 def _bisect(func, lo: float, hi: float) -> float:

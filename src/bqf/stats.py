@@ -1,10 +1,11 @@
 """Cumulants of statistics built from squares of linear forms.
 
-Closed forms live next to the oracle route that justifies them: the
-symmetrized-squares statistic and the sample variance each come with an
-internal cross-check against the generic quadratic-form engine on small
-instances, and the shifted sum of squares is evaluated purely by the
-polynomial oracle.
+One closed form serves two statistics.  The sample variance is the
+quadratic form of I - P_n, and the symmetrized-squares statistic that of
+c (I - P_n) for a constant c of its weights, so both take all orders from
+_centred_cumulants, which cross-checks itself against one pass of the
+generic quadratic-form engine for n <= 4 (orders <= 4).  The shifted sum
+of squares is evaluated purely by the polynomial oracle.
 """
 
 import math
@@ -17,7 +18,13 @@ from .cumulants import (
     element_cumulants,
 )
 from .errors import DomainError
-from .matrices import HermitianMatrix, _check_iid_order, qf_cumulant_iid
+from .matrices import (
+    _check_iid_order,
+    build_special,
+    matrix_add,
+    matrix_scale,
+    qf_cumulants_iid,
+)
 from .partitions import enumerate_interval, lift_matching
 
 
@@ -63,19 +70,42 @@ class ShiftVector:
         return fresh
 
 
-def symmetrized_square_cumulant(form: LinearFormSpec, seq: CumulantSequence, r: int):
-    """K_r of the sum of squared linear forms over all weight orderings.
+def _centred_cumulants(n: int, c, seq: CumulantSequence, order: int) -> list:
+    """K_1, ..., K_order of x*Ax for A = c (I - P_n), order already checked.
 
-    Requires the weights to sum to zero: only then is the system matrix of
-    the symmetrized statistic zero-sum with constant diagonal, which is
-    what collapses K_r to the closed form
-
-        n * ((n-1)!)^r * (sum of squared weights)^r * K_{2r}.
-
-    The permutations are never enumerated; the system matrix only needs
-    the two aggregates sum(w_i^2) and sum_{i != j} w_i w_j.
+    A is zero-sum with constant diagonal g = c (1 - 1/n), so the
+    zero-sum cancellation leaves K_r = n g^r K_{2r}.  For n <= 4 one
+    engine pass on A (orders <= 4) cross-checks the closed form.
     """
-    _check_iid_order(seq, r)
+    g = c * (1 - Fraction(1, n))
+    values, power = [], Fraction(n)
+    for r in range(1, order + 1):
+        power *= g
+        values.append(power * seq.k(2 * r))
+    if n <= 4:
+        centring = matrix_add(
+            build_special("identity", n), matrix_scale(build_special("P", n), -1)
+        )
+        engine = qf_cumulants_iid(matrix_scale(centring, c), seq, min(order, 4))
+        if engine != values[:4]:
+            raise AssertionError(
+                f"closed form {values[:4]} disagrees with the engine values {engine}"
+            )
+    return values
+
+
+def symmetrized_square_cumulants(form: LinearFormSpec, seq: CumulantSequence, order: int):
+    """K_1, ..., K_order of the sum of squared linear forms over all weight
+    orderings.
+
+    Requires the weights to sum to zero.  The system matrix sums w_s w_s^T
+    over the orderings s: its diagonal is (n-1)! sum w^2 and its
+    off-diagonal (n-2)! sum_{i != j} w_i w_j = -(n-2)! sum w^2, so it is
+    c (I - P_n) with c = n (n-2)! sum w^2, c times the sample variance's,
+    and K_r = n ((n-1)! sum w^2)^r K_{2r}.  The permutations are never
+    enumerated.
+    """
+    _check_iid_order(seq, order)
     weights = form.weights
     n = form.n
     if sum(weights) != 0:
@@ -84,41 +114,26 @@ def symmetrized_square_cumulant(form: LinearFormSpec, seq: CumulantSequence, r: 
             "only centered (zero-sum system matrix) in that case"
         )
     ssq = sum((w * w for w in weights), Fraction(0))
-    value = n * Fraction(math.factorial(n - 1)) ** r * ssq**r * seq.k(2 * r)
-    if n <= 3 and r <= 3:
-        # Aggregated system matrix: diagonal (n-1)! sum w^2, off-diagonal
-        # (n-2)! sum_{i != j} w_i w_j = -(n-2)! sum w^2 for centered weights.
-        dval = math.factorial(n - 1) * ssq
-        oval = -math.factorial(n - 2) * ssq
-        grid = [[dval if i == j else oval for j in range(n)] for i in range(n)]
-        engine = qf_cumulant_iid(HermitianMatrix(grid), seq, r).value
-        if engine != value:
-            raise AssertionError(
-                f"closed form {value} disagrees with the engine value {engine}"
-            )
-    return value
+    return _centred_cumulants(n, n * math.factorial(n - 2) * ssq, seq, order)
+
+
+def symmetrized_square_cumulant(form: LinearFormSpec, seq: CumulantSequence, r: int):
+    """K_r of the symmetrized squares (see symmetrized_square_cumulants)."""
+    return symmetrized_square_cumulants(form, seq, r)[r - 1]
+
+
+def sample_variance_cumulants(n: int, seq: CumulantSequence, order: int) -> list:
+    """K_1, ..., K_order of the (uncorrected, n-scaled) sample variance,
+    the quadratic form of I - P_n: K_r = n (1 - 1/n)^r K_{2r}."""
+    if n < 2:
+        raise DomainError(f"sample variance needs n >= 2, got {n}")
+    _check_iid_order(seq, order)
+    return _centred_cumulants(n, 1, seq, order)
 
 
 def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
-    """K_r of the (uncorrected, n-scaled) sample variance statistic.
-
-    The system matrix is the centering projector complement I - P_n:
-    zero-sum with constant diagonal 1 - 1/n, giving
-    K_r = n (1 - 1/n)^r K_{2r}.
-    """
-    if n < 2:
-        raise DomainError(f"sample variance needs n >= 2, got {n}")
-    _check_iid_order(seq, r)
-    value = n * (1 - Fraction(1, n)) ** r * seq.k(2 * r)
-    if n <= 4 and r <= 4:
-        q = Fraction(1, n)
-        grid = [[(1 if i == j else 0) - q for j in range(n)] for i in range(n)]
-        engine = qf_cumulant_iid(HermitianMatrix(grid), seq, r).value
-        if engine != value:
-            raise AssertionError(
-                f"closed form {value} disagrees with the engine value {engine}"
-            )
-    return value
+    """K_r of the sample variance (see sample_variance_cumulants)."""
+    return sample_variance_cumulants(n, seq, r)[r - 1]
 
 
 def shifted_sos_cumulants(shifts: ShiftVector, family, order: int) -> list:

@@ -199,6 +199,45 @@ def test_all_orders_take_one_chain_of_matvecs(capsys, matrix_files, monkeypatch)
         assert code == 0 and payload["equal"] is True and len(calls) == order
 
 
+def test_stats_take_all_orders_from_one_cross_check(capsys, monkeypatch):
+    # one engine pass of min(order, 4) matvecs checks every order at n <= 4,
+    # not one pass per order (10 and 6 matvecs)
+    calls = []
+    matvec = bqf.matrices._matvec
+
+    def counted(u, a):
+        calls.append(a.n)
+        return matvec(u, a)
+
+    monkeypatch.setattr(bqf.matrices, "_matvec", counted)
+    dist = ["--dist", "poisson:lambda=3/2,alpha=2/3"]
+    for argv, count in (
+        (["stats", "sample-variance", "--n", "3", *dist, "--order", "4"], 4),
+        (["stats", "symmetrized", "--weights=1,0,-1", *dist, "--order", "3"], 3),
+    ):
+        calls.clear()
+        code, _ = invoke_json(capsys, argv)
+        assert code == 0 and len(calls) == count
+
+
+def test_nonpositive_order_is_an_error_before_the_preset(capsys, matrix_files):
+    # every command that builds a preset of 2 * --order cumulants refuses
+    # --order < 1 first, with the value given, whatever the preset
+    for dist in ("gaussian:c=0,v=1", "custom:1,2,3,4"):
+        for order in (0, -2):
+            tail = ["--dist", dist, f"--order={order}"]
+            for argv in (
+                ["cumulants", "qf", "--matrix", matrix_files["a3"]],
+                ["cumulants", "oracle-check", "--n", "2"],
+                ["stats", "sample-variance", "--n", "3"],
+                ["stats", "shifted-sos", "--shifts", "3,4,0"],
+                ["stats", "symmetrized", "--weights=1,0,-1"],
+            ):
+                code, out, err = invoke(capsys, argv + tail)
+                assert (code, out) == (1, ""), argv + tail
+                assert err == f"error: order must be positive, got {order}\n"
+
+
 def test_cumulants_convert_both_directions(capsys):
     code, payload = invoke_json(
         capsys, ["cumulants", "convert", "--moments", "1,2,3"]

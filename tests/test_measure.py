@@ -68,6 +68,15 @@ def test_atomic_measure_validation():
         m.moment(-1)
 
 
+def test_odd_moments_of_the_tangent_atoms_vanish_exactly():
+    # float ** gives (-x)^m = -(x^m), so each +-x pair cancels exactly
+    measure = tangent_atoms(50)
+    assert len(measure.atoms) == 101  # 50 +-x pairs and the atom at 0
+    for m in range(1, 100, 2):
+        moment = measure.moment(m)
+        assert moment == 0.0 and math.copysign(1.0, moment) == 1.0
+
+
 def test_tangent_atoms_locations_match_printed_values():
     atoms = positive_atoms_descending(tangent_atoms(4))
     for (loc, _), (want, tol) in zip(atoms, PRINTED_ROOTS):

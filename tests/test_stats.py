@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqf.cumulants import (
     NCPolynomial,
@@ -16,14 +18,21 @@ from bqf.cumulants import (
     poisson_sequence,
 )
 from bqf.errors import DomainError, OrderShortfallError
-from bqf.matrices import GaussianRational, HermitianMatrix, qf_cumulant_iid
+from bqf.matrices import (
+    GaussianRational,
+    HermitianMatrix,
+    qf_cumulant_iid,
+    qf_cumulants_iid,
+)
 from bqf.stats import (
     LinearFormSpec,
     ShiftVector,
     kagan_closed_form,
     sample_variance_cumulant,
+    sample_variance_cumulants,
     shifted_sos_cumulant,
     symmetrized_square_cumulant,
+    symmetrized_square_cumulants,
 )
 
 
@@ -142,6 +151,53 @@ def test_sample_variance_guards():
         sample_variance_cumulant(2, seq, 0)
     with pytest.raises(OrderShortfallError):
         sample_variance_cumulant(2, seq, 2)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def preset_sequences(draw, order):
+    """One of the four preset kinds, to the given order."""
+    kind = draw(st.sampled_from(("gaussian", "poisson", "evenpoisson", "custom")))
+    if kind == "gaussian":
+        return gaussian_sequence(draw(SMALL_RATIONALS), draw(SMALL_RATIONALS), order)
+    if kind == "poisson":
+        return poisson_sequence(draw(SMALL_RATIONALS), draw(SMALL_RATIONALS), order)
+    if kind == "evenpoisson":
+        return even_poisson_sequence(draw(st.lists(SMALL_RATIONALS, max_size=3)), order)
+    return custom_sequence(draw(st.lists(SMALL_RATIONALS, min_size=order, max_size=order)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=4),
+    n_var=st.integers(min_value=2, max_value=6),
+    order=st.integers(min_value=1, max_value=6),
+)
+def test_centred_statistics_match_the_engine_property(data, n, n_var, order):
+    # the closed forms against the engine on system matrices built here:
+    # the permutation sum of w_s w_s^T, and I - P_n entry by entry
+    seq = data.draw(preset_sequences(2 * order))
+    w = data.draw(st.lists(SMALL_RATIONALS, min_size=n - 1, max_size=n - 1))
+    form = LinearFormSpec(w + [-sum(w, F(0))])
+    grid = [[F(0)] * n for _ in range(n)]
+    for perm in itertools.permutations(form.weights):
+        for i in range(n):
+            for j in range(n):
+                grid[i][j] += perm[i] * perm[j]
+    values = symmetrized_square_cumulants(form, seq, order)
+    assert values == qf_cumulants_iid(HermitianMatrix(grid), seq, order)
+    assert values == [
+        symmetrized_square_cumulant(form, seq, r) for r in range(1, order + 1)
+    ]
+    centring = [[F(i == j) - F(1, n_var) for j in range(n_var)] for i in range(n_var)]
+    values = sample_variance_cumulants(n_var, seq, order)
+    assert values == qf_cumulants_iid(HermitianMatrix(centring), seq, order)
+    assert values == [
+        sample_variance_cumulant(n_var, seq, r) for r in range(1, order + 1)
+    ]
 
 
 def test_shifted_sos_zero_shifts_is_plain_sum_of_squares():
