@@ -45,6 +45,12 @@ ORACLE_CHECK_MAX_N = 8
 QF_MAX_ORDER = 64
 H_SERIES_MAX_ORDER = 512
 INDEPENDENCE_MAX_K = 512
+# Bound on the size n of a --matrix file, checked as soon as it is loaded
+# and before any matvec: each matvec costs n^2 products, so a Krylov chain
+# grows about 4x per doubling of n.  At n = 64, h-series --order 512 takes
+# 3.1 s, independence --k 512 on an exactly independent pair 3.9 s and
+# cumulants qf --order 64 0.6 s (2-core x86-64 host).
+MATRIX_MAX_N = 64
 # Bounds on the series orders and atom counts: exact rationals grow with
 # the order, and every atom pair costs a root and its share of one JSON
 # document in memory.  Most take at most a few seconds at their limit;
@@ -63,9 +69,9 @@ MODEL_MAX_N = 1_000_000
 MODEL_MAX_COUNT = 16
 # Bounds on the rational lists, counted before they are parsed.  At stats
 # symmetrized --order 1000 the values carry ((n-1)!)^r: 16 Poisson weights
-# take 2.7 s (6.5 MB of JSON), 50 take 33 s.  The moment-cumulant
-# conversion is about cubic in the length: 400 values with distinct
-# denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
+# take 1.5 s (6.7 MB of JSON), 50 take 29 s in the library alone.  The
+# moment-cumulant conversion is about cubic in the length: 400 values with
+# distinct denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
 STATS_MAX_WEIGHTS = 16
 CONVERT_MAX_VALUES = 400
 
@@ -180,13 +186,23 @@ def _emit_cumulants(args, head: dict, values):
 
 
 def _matrices(args, count: int) -> list:
-    """Load the --matrix files, a usage error unless exactly count were given."""
+    """Load the --matrix files, a usage error unless exactly count were given;
+    each is refused above MATRIX_MAX_N as soon as it is loaded."""
     from . import matrices as mx
 
     paths = args.matrix or []
     if len(paths) != count:
         args.parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
-    return [mx.load_matrix(path) for path in paths]
+    loaded = []
+    for path in paths:
+        matrix = mx.load_matrix(path)
+        if matrix.n > MATRIX_MAX_N:
+            raise DomainError(
+                f"--matrix {path} must be at most {MATRIX_MAX_N} x {MATRIX_MAX_N}, "
+                f"got n = {matrix.n}"
+            )
+        loaded.append(matrix)
+    return loaded
 
 
 # ---------------------------------------------------------------- handlers

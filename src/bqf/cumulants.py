@@ -7,9 +7,10 @@ formula collapses to the convolution recursion
     m_n = sum_{k=1..n} K_k m_{n-k},  m_0 = 1,
 
 which both conversion directions use.  Word moments of several variables,
-the polynomial oracle built on them, mixed cumulants by sign-alternating
-inversion, grouped product cumulants, and the scalar shift rule all live
-here, together with the cumulant presets the command line accepts.
+the polynomial oracle built on them, mixed cumulants by the same recursion
+solved prefix by prefix, grouped product cumulants, and the scalar shift
+rule all live here, together with the cumulant presets the command line
+accepts.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ExpansionCapError, OrderShortfallError
-from .partitions import IntervalPartition, enumerate_interval
+from .partitions import enumerate_interval
 from .rationals import parse_rational, parse_rational_list
 
 DEFAULT_TERM_CAP = 200_000
@@ -151,22 +152,17 @@ def cumulants_from_moments(moments, n_max: int | None = None) -> CumulantSequenc
     return CumulantSequence(kappa)
 
 
-def _run_length(word, start: int) -> int:
-    head = word[start]
-    k = start
-    while k < len(word) and word[k] == head:
-        k += 1
-    return k - start
-
-
 def word_moment(word, family) -> Fraction:
     """Joint moment of X_{w_1} X_{w_2} ... X_{w_m} for an independent family.
 
     family maps variable index to its CumulantSequence.  Evaluates the
     interval-partition sum by peeling the first block: only blocks with a
-    constant variable contribute, so
+    constant variable contribute, so with run(s) the length of the run of
+    w_s starting at s,
 
-        phi(w) = sum_{k=1..run(w)} K_k(X_{w_1}) phi(w_{k+1:}).
+        phi(w_{s:}) = sum_{k=1..run(s)} K_k(X_{w_s}) phi(w_{s+k:}),
+
+    filled in one backward pass over s.
     """
     word = tuple(word)
     if not word:
@@ -174,25 +170,20 @@ def word_moment(word, family) -> Fraction:
     for v in set(word):
         if v not in family:
             raise DomainError(f"no cumulant sequence for variable {v}")
-    memo = {len(word): Fraction(1)}
-
-    def phi(start: int) -> Fraction:
-        if start in memo:
-            return memo[start]
-        seq = family[word[start]]
-        run = _run_length(word, start)
-        if run > seq.order:
+    for v, group in itertools.groupby(word):
+        run = sum(1 for _ in group)
+        if run > family[v].order:
             raise OrderShortfallError(
-                f"variable {word[start]} repeats {run} times in a row but its "
-                f"sequence stops at order {seq.order}"
+                f"variable {v} repeats {run} times in a row but its "
+                f"sequence stops at order {family[v].order}"
             )
-        total = Fraction(0)
-        for k in range(1, run + 1):
-            total += seq.k(k) * phi(start + k)
-        memo[start] = total
-        return total
-
-    return phi(0)
+    m = len(word)
+    phi = [Fraction(0)] * m + [Fraction(1)]
+    for s in reversed(range(m)):
+        run = run + 1 if s + 1 < m and word[s + 1] == word[s] else 1
+        seq = family[word[s]]
+        phi[s] = sum(seq.k(k) * phi[s + k] for k in range(1, run + 1))
+    return phi[0]
 
 
 def polynomial_moment(poly: NCPolynomial, family) -> Fraction:
@@ -248,9 +239,11 @@ def element_cumulants(
 def mixed_cumulant(args, family) -> Fraction:
     """The multilinear cumulant K_n(P_1, ..., P_n) of polynomial arguments.
 
-    Inverts the moment formula on the interval lattice:
+    Peeling the first block of the moment formula gives, for each prefix,
 
-        K_n = sum_{pi} (-1)^(#pi - 1) prod_{blocks B} phi(prod_{i in B} P_i).
+        phi(P_1 ... P_j) = sum_{k=1..j} K_k(P_1, ..., P_k) phi(P_{k+1} ... P_j),
+
+    solved for the prefix cumulants K_1, K_2, ..., K_n in turn.
     """
     args = [_coerce_poly(a) for a in args]
     n = len(args)
@@ -263,15 +256,11 @@ def mixed_cumulant(args, family) -> Fraction:
         for j in range(i + 1, n + 1):
             acc = acc * args[j - 1]
             seg[(i, j)] = polynomial_moment(acc, family)
-    total = Fraction(0)
-    for pi in enumerate_interval(n):
-        prod = Fraction(1)
-        for block in pi.blocks():
-            prod *= seg[(block[0] - 1, block[-1])]
-            if not prod:
-                break
-        total += (-1) ** (pi.num_blocks - 1) * prod
-    return total
+    kappa = []
+    for j in range(1, n + 1):
+        tail = sum(kappa[k - 1] * seg[(k, j)] for k in range(1, j))
+        kappa.append(seg[(0, j)] - tail)
+    return kappa[-1]
 
 
 def product_cumulant(grouping, word, family) -> Fraction:

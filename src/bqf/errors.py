@@ -24,10 +24,3 @@ class PoleProximityError(DomainError):
 class AtomProximityError(DomainError):
     """Evaluation point too close to an atom location."""
 
-
-class BracketError(RuntimeError):
-    """A root bracket failed to change sign.
-
-    This signals a defect in the bracketing logic itself, not bad user
-    input, so it is not a DomainError.
-    """

@@ -2,11 +2,12 @@
 
 The limit distribution of the antisymmetric quadratic-form model is purely
 atomic: mass 1/2 at zero and mass x^2/(4 - x^2) at the points +-x where
-2/x = tan(1/x).  This module produces those atoms, the matching transform
-evaluations, moment cross-checks between the atoms and the exact moment
-series, convergence tables for finite models against the limit cumulants,
-and the trace approximations of zeta values, tangent numbers and zigzag
-numbers.  Atom data is binary64; everything upstream of it stays exact.
+2/x = tan(1/x).  This module produces those atoms (each root u = 1/x by a
+monotone Newton iteration), the matching transform evaluations, moment
+cross-checks between the atoms and the exact moment series, convergence
+tables for finite models against the limit cumulants, and the trace
+approximations of zeta values, tangent numbers and zigzag numbers.  Atom
+data is binary64; everything upstream of it stays exact.
 
 The finite models never form an n x n matrix.  Every quantity they need is
 a trace Tr(P M^m) with M = aP + bB, read exactly off limit_mgf_series for
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    AtomProximityError,
-    BracketError,
-    DomainError,
-    PoleProximityError,
-)
+from .errors import AtomProximityError, DomainError, PoleProximityError
 from .series import (
     FormalSeries,
     _bernoulli_numbers,
@@ -39,8 +35,6 @@ from .series import (
 
 POLE_GUARD = 1e-6
 ATOM_GUARD = 1e-9
-_BRACKET_PAD = 1e-9
-_BRACKET_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -80,51 +74,23 @@ class AtomicMeasure:
         return math.fsum(mass * loc**m for loc, mass in self.atoms)
 
 
-def _bisect(func, lo: float, hi: float) -> float:
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    while hi - lo >= _BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution reached
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (fhi > 0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def _tangent_root(m: int) -> float:
-    """The m-th positive root of tan(u) = 2u (m = 0 is the smallest)."""
+    """The m-th positive root of tan(u) = 2u (m = 0 is the smallest).
 
-    def g(u):
-        return math.tan(u) - 2.0 * u
-
-    if m == 0:
-        lo, hi = math.pi / 4 + _BRACKET_PAD, math.pi / 2 - _BRACKET_PAD
-    else:
-        lo, hi = m * math.pi + _BRACKET_PAD, m * math.pi + math.pi / 2 - _BRACKET_PAD
-    u = _bisect(g, lo, hi)
-    # Newton polish toward the float-nearest root; g'(u) = tan(u)^2 - 1.
-    for _ in range(3):
+    The root lies in (m pi + pi/4, m pi + pi/2), where g(u) = tan(u) - 2u is
+    increasing and convex: g' = tan(u)^2 - 1 > 0, g'' = 2 tan(u) sec(u)^2 > 0.
+    Newton's method started right of the root therefore decreases onto it;
+    u_0 = c - 1/(4c), c = m pi + pi/2, has tan(u_0) ~ 4c > 2 u_0.  The
+    first step that does not decrease u ends the iteration.
+    """
+    c = m * math.pi + math.pi / 2
+    u = c - 0.25 / c
+    while True:
         t = math.tan(u)
-        step = (t - 2.0 * u) / (t * t - 1.0)
-        nxt = u - step
-        if not lo <= nxt <= hi:
-            break
+        nxt = u - (t - 2.0 * u) / (t * t - 1.0)
+        if not nxt < u:
+            return u
         u = nxt
-    return u
 
 
 def tangent_atoms(pairs: int) -> AtomicMeasure:

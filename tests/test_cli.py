@@ -19,6 +19,7 @@ from bqf.cli import (
     H_SERIES_MAX_ORDER,
     INDEPENDENCE_MAX_K,
     LIMIT_MAX_ORDER,
+    MATRIX_MAX_N,
     MEASURE_MAX_PAIRS,
     MODEL_MAX_COUNT,
     MODEL_MAX_N,
@@ -67,6 +68,7 @@ def matrix_files(tmp_path):
     save("a3", HermitianMatrix(COUPLED3_A))
     save("b3", HermitianMatrix(COUPLED3_B))
     save("b2", build_special("B", 2))
+    save("diag100", HermitianMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     save("zs2a", HermitianMatrix([[1, -1], [-1, 1]]))
     save("zs2b", HermitianMatrix([[2, -2], [-2, 2]]))
     return paths
@@ -325,6 +327,21 @@ def test_matrix_independence(capsys, matrix_files):
     assert payload["independent"] is True
     assert payload["kmax"] == 1  # two-point models only see the first power
     assert payload["witness_power"] is None
+    # I - P has zero row sums, so every J A^k B vanishes; J B A does not
+    code, payload = invoke_json(
+        capsys,
+        [
+            "matrix",
+            "independence",
+            "--matrix",
+            matrix_files["centering3"],
+            "--matrix",
+            matrix_files["diag100"],
+        ],
+    )
+    assert code == 0
+    assert payload["independent"] is False
+    assert (payload["witness_power"], payload["witness_side"]) == (1, "BA")
 
 
 def test_matrix_h_series(capsys, matrix_files):
@@ -583,14 +600,23 @@ def test_exit_code_on_matrix_file_that_is_not_utf8(capsys, tmp_path):
 
 
 def test_exit_code_on_domain_error(capsys):
-    code, out, err = invoke(
-        capsys, ["cumulants", "convert", "--moments", "1,x,3"]
-    )
-    assert code == 1
-    assert err.startswith("error:")
+    # a bad rational, then a preset with a bad parameter, with none, and
+    # an evenpoisson preset without odd=
+    sample = ["stats", "sample-variance", "--n", "3", "--order", "2", "--dist"]
+    cases = [
+        ["cumulants", "convert", "--moments", "1,x,3"],
+        sample + ["gaussian:c=1,x=2"],
+        sample + ["gaussian"],
+        sample + ["evenpoisson:x=1"],
+    ]
+    for argv in cases:
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
+def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files, tmp_path):
     # each bound is probed at limit + 1 only; it refuses before any work.
     # The Krylov lengths are bounded too: I - P is independent of itself,
     # so an unbounded --k scan would run to the end.
@@ -638,6 +664,14 @@ def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files):
             ],
             "--k",
         ),
+    ]
+    # a matrix file's n is refused as soon as that file is loaded, here
+    # before the sizes of the pair are compared
+    big = str(tmp_path / "big.json")
+    save_matrix(build_special("identity", MATRIX_MAX_N + 1), big)
+    cases += [
+        (["matrix", "h-series", "--matrix", big, "--order", "2"], "--matrix"),
+        (["matrix", "independence", "--matrix", c3, "--matrix", big], "--matrix"),
     ]
     # the series orders and atom counts: a few seconds each at the limit,
     # a hang, a traceback or an out-of-memory crash well above it
@@ -721,12 +755,15 @@ def test_exit_code_on_usage_error(capsys):
 
 
 def test_flags_are_checked_by_the_parser(capsys, matrix_files):
-    # a list where one n is taken, --seed where nothing is sampled, and a
-    # --matrix count other than the subcommand's are usage errors
+    # a list where one n is taken, an --n list with a non-integer or no
+    # value, --seed where nothing is sampled, and a --matrix count other
+    # than the subcommand's are usage errors
     c3 = matrix_files["centering3"]
     oracle = ["cumulants", "oracle-check", "--dist", "gaussian:c=1,v=2", "--order", "2"]
     cases = [
         (oracle + ["--n", "3,5"], "--n"),
+        (["approx", "zeta", "--k", "1", "--n", "10,x"], "--n"),
+        (["approx", "zeta", "--k", "1", "--n", ","], "--n"),
         (["approx", "zeta", "--k", "1", "--n", "10", "--seed", "1"], "--seed"),
         (["matrix", "check"], "--matrix"),
         (["matrix", "check", "--matrix", c3, "--matrix", c3], "--matrix"),

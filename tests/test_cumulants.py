@@ -21,6 +21,7 @@ from bqf.cumulants import (
     moments_from_cumulants,
     parse_distribution,
     poisson_sequence,
+    polynomial_moment,
     product_cumulant,
     shifted_cumulants,
     word_moment,
@@ -143,12 +144,19 @@ def test_word_moment_alternating_factorization():
         for letter in word:
             product *= fam[letter].k(1)
         assert word_moment(word, fam) == product
+    # 2000 letters, far past any recursion limit
+    fam = {1: CumulantSequence([F(2, 3)]), 2: CumulantSequence([F(-5, 7)])}
+    assert word_moment((1, 2) * 1000, fam) == (F(2, 3) * F(-5, 7)) ** 1000
 
 
 def test_word_moment_order_shortfall():
     fam = {1: CumulantSequence([F(1), F(1)])}
     with pytest.raises(OrderShortfallError):
         word_moment((1, 1, 1), fam)
+    # the leftmost run that is too long is the one reported
+    fam[2] = CumulantSequence([F(1)])
+    with pytest.raises(OrderShortfallError, match="variable 2 repeats 2 times"):
+        word_moment((1, 2, 2, 1, 1, 1), fam)
 
 
 def test_element_cumulants_identity_variable():
@@ -236,6 +244,42 @@ def test_mixed_cumulant_diagonal_is_univariate():
     x = NCPolynomial.variable(1)
     for n in range(1, 6):
         assert mixed_cumulant([x] * n, fam) == seq.k(n)
+
+
+def lattice_mixed_cumulant(args, family):
+    """Independent oracle: the signed sum over interval partitions that
+    inverts the moment formula,
+    K_n = sum_pi (-1)^(#pi - 1) prod_{blocks B} phi(prod_{i in B} P_i)."""
+    total = F(0)
+    for pi in enumerate_interval(len(args)):
+        prod = F(1)
+        for block in pi.blocks():
+            poly = NCPolynomial.scalar(1)
+            for i in block:
+                poly = poly * args[i - 1]
+            prod *= polynomial_moment(poly, family)
+        total += (-1) ** (pi.num_blocks - 1) * prod
+    return total
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    nvars=st.integers(min_value=1, max_value=3),
+    nargs=st.integers(min_value=1, max_value=6),
+)
+def test_mixed_cumulant_matches_lattice_sum_property(data, nvars, nargs):
+    # words of at most two letters, so no product of the arguments is
+    # longer than 12 letters and every run stays within the sequences
+    values = st.lists(SMALL_FRACTIONS, min_size=12, max_size=12)
+    family = {v: CumulantSequence(data.draw(values)) for v in range(1, nvars + 1)}
+    words = st.lists(st.integers(min_value=1, max_value=nvars), max_size=2)
+    terms = st.lists(st.tuples(SMALL_FRACTIONS, words), min_size=1, max_size=2)
+    args = data.draw(st.lists(terms.map(NCPolynomial), min_size=nargs, max_size=nargs))
+    assert mixed_cumulant(args, family) == lattice_mixed_cumulant(args, family)
 
 
 def test_product_cumulant_single_group():

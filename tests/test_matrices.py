@@ -534,6 +534,12 @@ def test_qf_dp_integer_kernel_edge_cases():
         assert independence_check(a, a, kmax=3) == _brute_witness(a, a, 3)
         row_sums = [sum(row, GaussianRational(0)) for row in a.entries]
         assert zero_sum_checks(a).is_zero_row_sum == (not any(row_sums))
+    # the B-side witness: I - P has zero row sums, so every J A^k B
+    # vanishes, while J B A = e_1^T (I - P) does not
+    centering = identity_minus_projector(3)
+    corner = HermitianMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert independence_check(centering, corner) == IndependenceResult(False, 1, "BA")
+    assert _brute_witness(centering, corner, 6) == IndependenceResult(False, 1, "BA")
     for r in range(1, 5):
         assert qf_cumulant_iid(cases[1], seq, r).value == 0
         assert qf_cumulant_iid(cases[0], seq, r).value == element_cumulants(

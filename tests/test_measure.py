@@ -2,6 +2,7 @@
 finite-matrix approximation tables."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -117,6 +118,14 @@ def test_tangent_atoms_root_residuals():
         u = 1.0 / x
         floor = 4.0 * u**3 * 2.0**-53
         assert residual <= max(1e-9, 2.0 * floor)
+
+
+def test_tangent_atoms_are_pinned_bit_for_bit():
+    # all 20 000 pairs the CLI allows, every location and mass as its repr
+    atoms = tangent_atoms(20_000).atoms
+    assert hashlib.sha256(repr(atoms).encode()).hexdigest() == (
+        "34defa096fb68db5b9c3a95c69a37d4bf2d97fdb210b9dc83eb2003d24191056"
+    )
 
 
 def test_tangent_atoms_total_mass_approaches_one():
