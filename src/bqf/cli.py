@@ -2,12 +2,14 @@
 
 Every subcommand is a thin adapter: parse flags, call one library
 operation, format.  Each handler imports only the library layers it
-calls, so a subcommand's start-up pays for no other layer.  Output is
+calls, so a subcommand's start-up pays for no other layer, and the parser
+declares the flags of the invoked subcommand only.  Output is
 byte-identical across runs for identical inputs: JSON uses fixed key
 order and two-space indentation, exact rationals appear as "p/q"
 strings, and binary64 values ride inside a {"float": true, "value":
 "<17 significant digits>"} wrapper so that no reader can mistake them
-for exact data.
+for exact data.  The JSON text is exactly what json.dumps(indent=2)
+writes for that converted tree, written in one pass by _json.
 
 Exit codes: 0 on success, 1 on domain errors (bad matrix data, orders out
 of range, and the oracle-check command finding a mismatch), 2 on usage
@@ -16,10 +18,10 @@ errors.
 
 import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError
 from .rationals import (
@@ -33,8 +35,13 @@ from .rationals import (
 # count= for the length of a list) and is checked before any work starts
 # or any file is read.  Bounds on arguments whose cost grows
 # exponentially: enumerate lists 2^(n-1) partitions, and the oracle
-# expands the quadratic form's powers word by word (shifted-sos too); a
-# sampled 8 x 8 matrix meets the expansion cap within about a second.
+# expands the quadratic form's powers word by word (shifted-sos too).  A
+# power past the expansion cap fails before the word moments of the power
+# below it are paid for: with a Poisson preset at --order 12, a sampled
+# 8 x 8 matrix meets the cap at power 3 after 0.6 s, a sampled 4 x 4 at
+# power 5 after 0.8 s.  Runs just under the cap take longest: the sampled
+# 2 x 2 matrix of --seed 0, which has a zero entry, takes 46 s at --order
+# 11 and meets the cap at power 12 after 14 s (2-core x86-64 host).
 PARTITIONS_MAX_N = 16
 ORACLE_CHECK_MAX_ORDER = 12
 ORACLE_CHECK_MAX_N = 8
@@ -53,9 +60,11 @@ INDEPENDENCE_MAX_K = 512
 MATRIX_MAX_N = 64
 # Bounds on the series orders and atom counts: exact rationals grow with
 # the order, and every atom pair costs a root and its share of one JSON
-# document in memory.  Most take at most a few seconds at their limit;
-# approx zeta|tangent --k 64 takes 6-12 s per n (2-core x86-64 host),
-# nearly all of it in compose inside limit_mgf_series.
+# document in memory.  Most take at most a few seconds at their limit:
+# measure levy --terms 20000 and measure atoms --pairs 20000 write 7.8 MB
+# of JSON in about 0.45 s with a 54 MB peak RSS.  approx zeta|tangent --k 64
+# takes 6-12 s per n (2-core x86-64 host), nearly all of it in compose
+# inside limit_mgf_series.
 LIMIT_MAX_ORDER = 64
 APPROX_MAX_K = 64
 STATS_MAX_ORDER = 1000
@@ -101,17 +110,38 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _json(value, pad="") -> str:
+    """The text json.dumps(indent=2) writes for value once each Fraction is
+    its "p/q" string and each float the {"float": true, "value": ...}
+    wrapper, with every line after the first indented by pad."""
+    if isinstance(value, float):  # first: floats fill the largest tables
+        return (
+            f'{{\n{pad}  "float": true,\n{pad}  "value": "{_fmt_float(value)}"\n{pad}}}'
+        )
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, float):
-        return {"float": True, "value": _fmt_float(value)}
+        return f'"{format_rational(value)}"'
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
+        if not value:
+            return "[]"
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -131,7 +161,7 @@ def _emit(args, payload: dict, header=None, rows=None):
     """Print payload as JSON, or the (header, rows) table as CSV/plain."""
     out = sys.stdout
     if args.format == "json":
-        out.write(json.dumps(_json_value(payload), indent=2) + "\n")
+        out.write(_json(payload) + "\n")
         return
     if header is None:
         header = ("key", "value")
@@ -449,18 +479,154 @@ def _cmd_measure_moments(args):
 # ------------------------------------------------------------------ parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The bqf parser.  When argv starts with a group and one of its
+    commands, argparse routes to that command and reads no other one's
+    flags, so only that command's flags are declared; any other argv (help
+    requests, typos, options first) gets every command's flags."""
     parser = argparse.ArgumentParser(
         prog="bqf",
         description="Exact Boolean cumulant calculus for quadratic forms.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
+    group_commands = {}
+    commands = {}  # (group, command) -> (parser, flag definitions)
 
-    def sub(group_parser, name, handler, **flag_defs):
-        """Add a subcommand.  A flag's bound and count (of a list's values)
-        go to args.bounds for _check_bounds, not to argparse; the flags
-        marked one_of form one required mutually exclusive group."""
-        p = group_parser.add_parser(name)
+    def sub(group, name, handler, **flag_defs):
+        """Register a subcommand; its flags are declared at the end."""
+        if group not in group_commands:
+            group_commands[group] = groups.add_parser(group).add_subparsers(
+                dest="command", required=True
+            )
+        p = group_commands[group].add_parser(name)
+        p.set_defaults(handler=handler, parser=p)
+        commands[group, name] = (p, flag_defs)
+
+    def bounded(limit):
+        return dict(type=int, required=True, bound=limit)
+
+    n_list = dict(
+        type=_int_list, required=True, bound=MODEL_MAX_N, count=MODEL_MAX_COUNT
+    )
+
+    sub(
+        "partitions",
+        "enumerate",
+        _cmd_partitions_enumerate,
+        **{"--n": bounded(PARTITIONS_MAX_N)},
+    )
+
+    sub(
+        "cumulants",
+        "qf",
+        _cmd_cumulants_qf,
+        **{
+            "--matrix": dict(action="append"),
+            "--dist": dict(required=True),
+            "--order": bounded(QF_MAX_ORDER),
+        },
+    )
+    sub(
+        "cumulants",
+        "oracle-check",
+        _cmd_cumulants_oracle_check,
+        **{
+            "--matrix": dict(action="append"),
+            "--dist": dict(required=True),
+            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
+            "--n": dict(type=int, default=2, bound=ORACLE_CHECK_MAX_N),
+            "--seed": dict(type=int, default=0),
+        },
+    )
+    given = dict(one_of=True, count=CONVERT_MAX_VALUES)
+    sub(
+        "cumulants",
+        "convert",
+        _cmd_cumulants_convert,
+        **{"--order": dict(type=int), "--moments": given, "--cumulants": given},
+    )
+
+    sub("matrix", "check", _cmd_matrix_check, **{"--matrix": dict(action="append")})
+    sub(
+        "matrix",
+        "independence",
+        _cmd_matrix_independence,
+        **{
+            "--matrix": dict(action="append"),
+            "--k": dict(type=int, bound=INDEPENDENCE_MAX_K),
+        },
+    )
+    sub(
+        "matrix",
+        "h-series",
+        _cmd_matrix_h_series,
+        **{"--matrix": dict(action="append"), "--order": bounded(H_SERIES_MAX_ORDER)},
+    )
+
+    sub(
+        "stats",
+        "sample-variance",
+        _cmd_stats_sample_variance,
+        **{
+            "--n": bounded(MODEL_MAX_N),
+            "--dist": dict(required=True),
+            "--order": bounded(STATS_MAX_ORDER),
+        },
+    )
+    sub(
+        "stats",
+        "shifted-sos",
+        _cmd_stats_shifted_sos,
+        **{
+            "--shifts": dict(required=True),
+            "--dist": dict(required=True),
+            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
+        },
+    )
+    sub(
+        "stats",
+        "symmetrized",
+        _cmd_stats_symmetrized,
+        **{
+            "--weights": dict(required=True, count=STATS_MAX_WEIGHTS),
+            "--dist": dict(required=True),
+            "--order": bounded(STATS_MAX_ORDER),
+        },
+    )
+
+    sub(
+        "limit",
+        "tangent",
+        _cmd_limit_tangent,
+        **{
+            "--a": dict(required=True),
+            "--b": dict(required=True),
+            "--n": n_list,
+            "--order": bounded(LIMIT_MAX_ORDER),
+        },
+    )
+
+    approx = {"--k": bounded(APPROX_MAX_K), "--n": n_list}
+    for kind in ("zeta", "tangent", "zigzag"):
+        sub("approx", kind, _cmd_approx, **approx)
+
+    pairs = bounded(MEASURE_MAX_PAIRS)
+    sub("measure", "atoms", _cmd_measure_atoms, **{"--pairs": pairs})
+    sub("measure", "levy", _cmd_measure_levy, **{"--terms": pairs})
+    sub(
+        "measure",
+        "moments",
+        _cmd_measure_moments,
+        **{"--pairs": pairs, "--order": bounded(MOMENTS_MAX_ORDER)},
+    )
+
+    # A flag's bound and count (of a list's values) go to args.bounds for
+    # _check_bounds, not to argparse; the flags marked one_of form one
+    # required mutually exclusive group.
+    chosen = tuple(argv[:2])
+    for key, (p, flag_defs) in commands.items():
+        if key != chosen and chosen in commands:
+            continue
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
         bounds = []
         one_of = None
@@ -474,141 +640,12 @@ def _build_parser() -> argparse.ArgumentParser:
             action = target.add_argument(flag, **defn)
             if limit is not None or count is not None:
                 bounds.append((flag, action.dest, limit, count))
-        p.set_defaults(handler=handler, parser=p, bounds=bounds)
-
-    def bounded(limit):
-        return dict(type=int, required=True, bound=limit)
-
-    n_list = dict(
-        type=_int_list, required=True, bound=MODEL_MAX_N, count=MODEL_MAX_COUNT
-    )
-
-    partitions = groups.add_parser("partitions").add_subparsers(
-        dest="command", required=True
-    )
-    sub(
-        partitions,
-        "enumerate",
-        _cmd_partitions_enumerate,
-        **{"--n": bounded(PARTITIONS_MAX_N)},
-    )
-
-    cumulants = groups.add_parser("cumulants").add_subparsers(
-        dest="command", required=True
-    )
-    sub(
-        cumulants,
-        "qf",
-        _cmd_cumulants_qf,
-        **{
-            "--matrix": dict(action="append"),
-            "--dist": dict(required=True),
-            "--order": bounded(QF_MAX_ORDER),
-        },
-    )
-    sub(
-        cumulants,
-        "oracle-check",
-        _cmd_cumulants_oracle_check,
-        **{
-            "--matrix": dict(action="append"),
-            "--dist": dict(required=True),
-            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
-            "--n": dict(type=int, default=2, bound=ORACLE_CHECK_MAX_N),
-            "--seed": dict(type=int, default=0),
-        },
-    )
-    given = dict(one_of=True, count=CONVERT_MAX_VALUES)
-    sub(
-        cumulants,
-        "convert",
-        _cmd_cumulants_convert,
-        **{"--order": dict(type=int), "--moments": given, "--cumulants": given},
-    )
-
-    matrix = groups.add_parser("matrix").add_subparsers(dest="command", required=True)
-    sub(matrix, "check", _cmd_matrix_check, **{"--matrix": dict(action="append")})
-    sub(
-        matrix,
-        "independence",
-        _cmd_matrix_independence,
-        **{
-            "--matrix": dict(action="append"),
-            "--k": dict(type=int, bound=INDEPENDENCE_MAX_K),
-        },
-    )
-    sub(
-        matrix,
-        "h-series",
-        _cmd_matrix_h_series,
-        **{"--matrix": dict(action="append"), "--order": bounded(H_SERIES_MAX_ORDER)},
-    )
-
-    stats = groups.add_parser("stats").add_subparsers(dest="command", required=True)
-    sub(
-        stats,
-        "sample-variance",
-        _cmd_stats_sample_variance,
-        **{
-            "--n": bounded(MODEL_MAX_N),
-            "--dist": dict(required=True),
-            "--order": bounded(STATS_MAX_ORDER),
-        },
-    )
-    sub(
-        stats,
-        "shifted-sos",
-        _cmd_stats_shifted_sos,
-        **{
-            "--shifts": dict(required=True),
-            "--dist": dict(required=True),
-            "--order": bounded(ORACLE_CHECK_MAX_ORDER),
-        },
-    )
-    sub(
-        stats,
-        "symmetrized",
-        _cmd_stats_symmetrized,
-        **{
-            "--weights": dict(required=True, count=STATS_MAX_WEIGHTS),
-            "--dist": dict(required=True),
-            "--order": bounded(STATS_MAX_ORDER),
-        },
-    )
-
-    limit = groups.add_parser("limit").add_subparsers(dest="command", required=True)
-    sub(
-        limit,
-        "tangent",
-        _cmd_limit_tangent,
-        **{
-            "--a": dict(required=True),
-            "--b": dict(required=True),
-            "--n": n_list,
-            "--order": bounded(LIMIT_MAX_ORDER),
-        },
-    )
-
-    approx = groups.add_parser("approx").add_subparsers(dest="command", required=True)
-    for kind in ("zeta", "tangent", "zigzag"):
-        sub(approx, kind, _cmd_approx, **{"--k": bounded(APPROX_MAX_K), "--n": n_list})
-
-    measure = groups.add_parser("measure").add_subparsers(dest="command", required=True)
-    pairs = bounded(MEASURE_MAX_PAIRS)
-    sub(measure, "atoms", _cmd_measure_atoms, **{"--pairs": pairs})
-    sub(measure, "levy", _cmd_measure_levy, **{"--terms": pairs})
-    sub(
-        measure,
-        "moments",
-        _cmd_measure_moments,
-        **{"--pairs": pairs, "--order": bounded(MOMENTS_MAX_ORDER)},
-    )
-
+        p.set_defaults(bounds=bounds)
     return parser
 
 
 def run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         _check_bounds(args)
         return args.handler(args)

@@ -203,15 +203,25 @@ def element_cumulants(
     converts the resulting moments.  Each power's expansion is capped at
     term_cap distinct words, counted while the power is built and before
     words whose coefficients cancel to zero are dropped; the first word
-    past the cap raises ExpansionCapError naming the cap, so runaway
-    inputs fail fast instead of thrashing.
+    past the cap raises ExpansionCapError naming the cap.  Power m + 1 is
+    expanded before the word moments of power m are evaluated, so runaway
+    inputs fail before they pay for them.
     """
     if order < 1:
         raise DomainError(f"cumulant order must be positive, got {order}")
-    current = {(): Fraction(1)}
     base = poly.terms
-    moments = []
     phi_cache = {(): Fraction(1)}
+
+    def moment(words):
+        total = Fraction(0)
+        for w, c in words.items():
+            if w not in phi_cache:
+                phi_cache[w] = word_moment(w, family)
+            total += c * phi_cache[w]
+        return total
+
+    moments = []
+    current = {(): Fraction(1)}
     for power in range(1, order + 1):
         nxt = {}
         for w1, c1 in current.items():
@@ -226,13 +236,10 @@ def element_cumulants(
                     raise ExpansionCapError(
                         f"power {power} expansion passed the cap of {term_cap} terms"
                     )
+        if power > 1:
+            moments.append(moment(current))
         current = {w: c for w, c in nxt.items() if c}
-        total = Fraction(0)
-        for w, c in current.items():
-            if w not in phi_cache:
-                phi_cache[w] = word_moment(w, family)
-            total += c * phi_cache[w]
-        moments.append(total)
+    moments.append(moment(current))
     return cumulants_from_moments(moments, order)
 
 

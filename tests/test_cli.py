@@ -1,8 +1,10 @@
 """End-to-end command-line checks: every subcommand, all three formats,
 deterministic bytes, and the documented exit codes."""
 
+import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -11,8 +13,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bqf
+from bqf import cli
 from bqf.cli import (
     APPROX_MAX_K,
     CONVERT_MAX_VALUES,
@@ -30,6 +35,9 @@ from bqf.cli import (
     QF_MAX_ORDER,
     STATS_MAX_ORDER,
     STATS_MAX_WEIGHTS,
+    _build_parser,
+    _fmt_float,
+    _json,
     main,
     run,
 )
@@ -41,7 +49,7 @@ from bqf.matrices import (
     matrix_scale,
     save_matrix,
 )
-from bqf.rationals import parse_rational
+from bqf.rationals import format_rational, parse_rational
 
 COUPLED3_A = [[-15, 6, 1], [6, 9, -8], [1, -8, 5]]
 COUPLED3_B = [[-1, 16, 60], [16, 44, 90], [60, 90, 75]]
@@ -968,3 +976,117 @@ def test_readme_examples_run(capsys, monkeypatch, tmp_path):
             code, out, err = invoke(capsys, shlex.split(line)[1:] + ["--format", fmt])
             assert (code, err) == (0, ""), line
             assert hashlib.sha256(out.encode()).hexdigest() == want, (line, fmt)
+
+
+def _json_value(value):
+    """The tree that json.dumps(indent=2) once wrote for the CLI: the
+    oracle for the one-pass writer _json."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, F):
+        return format_rational(value)
+    if isinstance(value, float):
+        return {"float": True, "value": _fmt_float(value)}
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# quotes, backslashes, control characters and non-ASCII text turn up often
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f ab\xe9\u2028\u4e2d\U0001f600'))
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, math.inf, -math.inf, math.nan]
+)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | JSON_TEXT
+    | st.builds(F, st.integers(), st.integers(min_value=1))
+    | JSON_FLOATS
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(JSON_TEXT, children),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(JSON_TREES)
+@example({"empty": [], "none": {}, "tuple": (), "nested": [[{}], ([],)]})
+@example([-0.0, 5e-324, math.inf, -math.inf, math.nan, True, 0, -(10**40), F(-7, 3)])
+def test_json_writer_matches_json_dumps_property(value):
+    assert _json(value) == json.dumps(_json_value(value), indent=2)
+
+
+def test_json_writer_refuses_other_types():
+    for value in (object(), {"a": [1, {2}]}, b"bytes", 1j):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _json(value)
+
+
+def _subparsers(parser):
+    """name -> parser of the commands an argparse parser routes to."""
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_parser_declares_only_the_named_command(capsys, monkeypatch):
+    # the named command's parser is the one the full parser holds, help text
+    # and all; the other commands declare nothing but -h
+    full = _build_parser([])
+    for group, group_parser in _subparsers(full).items():
+        for command, command_parser in _subparsers(group_parser).items():
+            narrow = _build_parser([group, command, "--format", "csv"])
+            assert narrow.format_help() == full.format_help()
+            for g, gp in _subparsers(narrow).items():
+                assert gp.format_help() == _subparsers(full)[g].format_help()
+                for c, cp in _subparsers(gp).items():
+                    if (g, c) == (group, command):
+                        assert cp.format_help() == command_parser.format_help()
+                    else:
+                        assert cp.format_usage() == f"usage: bqf {g} {c} [-h]\n"
+
+    # run gives the same exit code, stdout and stderr as with the full parser
+    zeta = ["zeta", "--k", "1", "--n", "3"]
+    argvs = [
+        [],
+        ["-h"],
+        ["approx", "-h"],
+        ["approx", "zeta", "-h"],
+        ["approx", "zeta", "-h", "--k", "x"],
+        ["approx", "--", *zeta],
+        ["--", "approx", *zeta],
+        ["approx", "--format", "csv", *zeta],
+        ["approx", *zeta, "--form", "csv"],
+        ["approx", "zeta", "--k", "1"],
+        ["approx", "zeta", "--k", "1", "--n", "3", "--format", "xml"],
+        ["approx", "zeta", "--k", "1", "--n", "3", "--seed", "1"],
+        ["approx", "zeta", "--k", "65", "--n", "3"],
+        ["aprox", *zeta],
+        ["approx", "gamma", "--k", "1", "--n", "3"],
+        ["measure", "levy", "--terms", "2", "--format", "plain"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in argvs:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    narrow = outcomes()
+    codes = [code for code, _, _ in narrow]
+    assert codes == [2, 0, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 1, 2, 2, 0]
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: _build_parser([]))
+    assert outcomes() == narrow
