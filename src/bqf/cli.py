@@ -2,14 +2,15 @@
 
 Every subcommand is a thin adapter: parse flags, call one library
 operation, format.  Each handler imports only the library layers it
-calls, so a subcommand's start-up pays for no other layer, and the parser
-declares the flags of the invoked subcommand only.  Output is
-byte-identical across runs for identical inputs: JSON uses fixed key
-order and two-space indentation, exact rationals appear as "p/q"
-strings, and binary64 values ride inside a {"float": true, "value":
-"<17 significant digits>"} wrapper so that no reader can mistake them
-for exact data.  The JSON text is exactly what json.dumps(indent=2)
-writes for that converted tree, written in one pass by _json.
+calls, so a subcommand's start-up pays for no other layer, and only the
+invoked subcommand's parser is built (with its group's and the top one).
+Output is byte-identical across runs for identical inputs: JSON uses
+fixed key order and two-space indentation, exact rationals appear as
+"p/q" strings, and binary64 values ride inside a {"float": true,
+"value": "<17 significant digits>"} wrapper so that no reader can mistake
+them for exact data.  The JSON text is exactly what json.dumps(indent=2)
+writes for that converted tree, written in one pass by _json; tables are
+written from their row tuples.
 
 Exit codes: 0 on success, 1 on domain errors (bad matrix data, orders out
 of range, and the oracle-check command finding a mismatch), 2 on usage
@@ -36,12 +37,12 @@ from .rationals import (
 # or any file is read.  Bounds on arguments whose cost grows
 # exponentially: enumerate lists 2^(n-1) partitions, and the oracle
 # expands the quadratic form's powers word by word (shifted-sos too).  A
-# power past the expansion cap fails before the word moments of the power
-# below it are paid for: with a Poisson preset at --order 12, a sampled
-# 8 x 8 matrix meets the cap at power 3 after 0.6 s, a sampled 4 x 4 at
-# power 5 after 0.8 s.  Runs just under the cap take longest: the sampled
-# 2 x 2 matrix of --seed 0, which has a zero entry, takes 46 s at --order
-# 11 and meets the cap at power 12 after 14 s (2-core x86-64 host).
+# quadratic form's power m has nnz(A)^m words, so oracle-check meets the
+# expansion cap before expanding anything: with a Poisson preset at
+# --order 12, a sampled 8 x 8 matrix at power 3, a sampled 4 x 4 at power
+# 5 and the sampled 2 x 2 matrix of --seed 0, which has a zero entry, at
+# power 12, each child in about 0.15 s.  Runs just under the cap take
+# longest: that 2 x 2 matrix takes 12 s at --order 11 (2-core x86-64 host).
 PARTITIONS_MAX_N = 16
 ORACLE_CHECK_MAX_ORDER = 12
 ORACLE_CHECK_MAX_N = 8
@@ -62,7 +63,7 @@ MATRIX_MAX_N = 64
 # the order, and every atom pair costs a root and its share of one JSON
 # document in memory.  Most take at most a few seconds at their limit:
 # measure levy --terms 20000 and measure atoms --pairs 20000 write 7.8 MB
-# of JSON in about 0.45 s with a 54 MB peak RSS.  approx zeta|tangent --k 64
+# of JSON in about 0.45 s with a 49 MB peak RSS.  approx zeta|tangent --k 64
 # takes 6-12 s per n (2-core x86-64 host), nearly all of it in compose
 # inside limit_mgf_series.
 LIMIT_MAX_ORDER = 64
@@ -128,6 +129,8 @@ def _json(value, pad="") -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, Fraction):
         return f'"{format_rational(value)}"'
+    if isinstance(value, _Table):
+        return _table_json(value.keys, value.rows, pad)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
@@ -143,6 +146,52 @@ def _json(value, pad="") -> str:
         items = [inner + _json(v, inner) for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+class _Table:
+    """A JSON list with one object per row, pairing the distinct keys with
+    the row's cells; _json writes it from the row tuples, building no dict."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        self.keys = keys
+        self.rows = rows
+
+
+def _table_json(keys, rows, pad) -> str:
+    """_json of [dict(zip(keys, row)) for row in rows]: the key prefixes and
+    the float wrapper around a cell are laid out once per table, and a table
+    of floats only fills one %-template per row."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    cell = inner + "  "
+    prefixes = [f"{cell}{encode_basestring_ascii(k)}: " for k in keys]
+    head = f'{{\n{cell}  "float": true,\n{cell}  "value": "'
+    tail = f'"\n{cell}}}'
+    close = f"\n{inner}}}"
+    if not keys:
+        objects = [inner + "{}"] * len(rows)
+    elif all(type(v) is float for row in rows for v in row):
+        # "%.17g" % v is format(v, ".17g") for every float, inf and nan too
+        fields = [p.replace("%", "%%") + head + "%.17g" + tail for p in prefixes]
+        template = inner + "{\n" + ",\n".join(fields) + close
+        objects = [template % row for row in rows]
+    else:
+        objects = [
+            inner
+            + "{\n"
+            + ",\n".join(
+                p + head + _fmt_float(v) + tail
+                if isinstance(v, float)
+                else p + _json(v, cell)
+                for p, v in zip(prefixes, row)
+            )
+            + close
+            for row in rows
+        ]
+    return "[\n" + ",\n".join(objects) + f"\n{pad}]"
 
 
 def _cell(value) -> str:
@@ -182,9 +231,10 @@ def _emit(args, payload: dict, header=None, rows=None):
 
 
 def _emit_table(args, payload: dict, key: str, header, rows, skip: int = 0):
-    """Print the (header, rows) table; in JSON it is payload[key], one dict
+    """Print the (header, rows) table; in JSON it is payload[key], one object
     per row without the first skip columns."""
-    payload[key] = [dict(zip(header[skip:], row[skip:])) for row in rows]
+    cut = [row[skip:] for row in rows] if skip else rows
+    payload[key] = _Table(header[skip:], cut)
     _emit(args, payload, header, rows)
 
 
@@ -481,26 +531,17 @@ def _cmd_measure_moments(args):
 
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The bqf parser.  When argv starts with a group and one of its
-    commands, argparse routes to that command and reads no other one's
-    flags, so only that command's flags are declared; any other argv (help
-    requests, typos, options first) gets every command's flags."""
-    parser = argparse.ArgumentParser(
-        prog="bqf",
-        description="Exact Boolean cumulant calculus for quadratic forms.",
-    )
-    groups = parser.add_subparsers(dest="group", required=True)
-    group_commands = {}
-    commands = {}  # (group, command) -> (parser, flag definitions)
+    commands, argparse reads no other group or command, so only the top,
+    that group and that command get a parser; both subparser actions then
+    name every choice in their metavar, so the usage lines stay the same.
+    Any other argv (help requests, typos, options first) gets the full
+    tree, whose invalid-choice errors name the "group" and "command"
+    arguments."""
+    commands = {}  # (group, command) -> (handler, flag definitions)
 
     def sub(group, name, handler, **flag_defs):
-        """Register a subcommand; its flags are declared at the end."""
-        if group not in group_commands:
-            group_commands[group] = groups.add_parser(group).add_subparsers(
-                dest="command", required=True
-            )
-        p = group_commands[group].add_parser(name)
-        p.set_defaults(handler=handler, parser=p)
-        commands[group, name] = (p, flag_defs)
+        """Register a subcommand; parsers are built at the end."""
+        commands[group, name] = (handler, flag_defs)
 
     def bounded(limit):
         return dict(type=int, required=True, bound=limit)
@@ -620,27 +661,47 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         **{"--pairs": pairs, "--order": bounded(MOMENTS_MAX_ORDER)},
     )
 
-    # A flag's bound and count (of a list's values) go to args.bounds for
-    # _check_bounds, not to argparse; the flags marked one_of form one
-    # required mutually exclusive group.
     chosen = tuple(argv[:2])
-    for key, (p, flag_defs) in commands.items():
-        if key != chosen and chosen in commands:
+    narrow = chosen in commands
+    names = {}  # group -> its command names, in declaration order
+    for group, name in commands:
+        names.setdefault(group, []).append(name)
+
+    def subparsers(parent, dest, choice_names):
+        metavar = "{" + ",".join(choice_names) + "}" if narrow else None
+        return parent.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+    parser = argparse.ArgumentParser(
+        prog="bqf",
+        description="Exact Boolean cumulant calculus for quadratic forms.",
+    )
+    groups = subparsers(parser, "group", names)
+    for group, group_names in names.items():
+        if narrow and group != chosen[0]:
             continue
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-        bounds = []
-        one_of = None
-        for flag, defn in flag_defs.items():
-            defn = dict(defn)
-            limit, count = defn.pop("bound", None), defn.pop("count", None)
-            target = p
-            if defn.pop("one_of", False):
-                one_of = one_of or p.add_mutually_exclusive_group(required=True)
-                target = one_of
-            action = target.add_argument(flag, **defn)
-            if limit is not None or count is not None:
-                bounds.append((flag, action.dest, limit, count))
-        p.set_defaults(bounds=bounds)
+        group_commands = subparsers(groups.add_parser(group), "command", group_names)
+        for name in group_names:
+            if narrow and name != chosen[1]:
+                continue
+            handler, flag_defs = commands[group, name]
+            p = group_commands.add_parser(name)
+            p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+            # A flag's bound and count (of a list's values) go to args.bounds
+            # for _check_bounds, not to argparse; the flags marked one_of
+            # form one required mutually exclusive group.
+            bounds = []
+            one_of = None
+            for flag, defn in flag_defs.items():
+                defn = dict(defn)
+                limit, count = defn.pop("bound", None), defn.pop("count", None)
+                target = p
+                if defn.pop("one_of", False):
+                    one_of = one_of or p.add_mutually_exclusive_group(required=True)
+                    target = one_of
+                action = target.add_argument(flag, **defn)
+                if limit is not None or count is not None:
+                    bounds.append((flag, action.dest, limit, count))
+            p.set_defaults(handler=handler, parser=p, bounds=bounds)
     return parser
 
 

@@ -205,20 +205,61 @@ def element_cumulants(
     words whose coefficients cancel to zero are dropped; the first word
     past the cap raises ExpansionCapError naming the cap.  Power m + 1 is
     expanded before the word moments of power m are evaluated, so runaway
-    inputs fail before they pay for them.
+    inputs fail before they pay for them.  When all t terms have one length
+    L, power m holds exactly t^m distinct words and none cancels, so the
+    same error is raised before any expansion, once the family shows that
+    no word moment below that power can fail first.
+
+    The word moments are word_moment's interval-partition sums, shared by
+    suffix within the call: phi(w_{s:}) depends only on the suffix, so each
+    word is filled back from its longest suffix already known.  A word that
+    word_moment would refuse is handed to it, to raise the same error.
     """
     if order < 1:
         raise DomainError(f"cumulant order must be positive, got {order}")
     base = poly.terms
-    phi_cache = {(): Fraction(1)}
+
+    def cap_passed(power):
+        return ExpansionCapError(
+            f"power {power} expansion passed the cap of {term_cap} terms"
+        )
+
+    if len({len(w) for _, w in base}) == 1:
+        length = len(base[0][1])
+        power = next(
+            (m for m in range(1, order + 1) if len(base) ** m > term_cap), None
+        )
+        if power is not None and all(
+            v in family and family[v].order >= length * power
+            for _, w in base
+            for v in w
+        ):
+            raise cap_passed(power)
+
+    memo = {(): Fraction(1)}  # phi by suffix; every suffix of a key is a key
+
+    def phi(word):
+        value = memo.get(word)
+        if value is not None:
+            return value
+        s = 1
+        while word[s:] not in memo:
+            s += 1
+        for t in reversed(range(s)):
+            v = word[t]
+            run = 1
+            while t + run < len(word) and word[t + run] == v:
+                run += 1
+            if v not in family or run > family[v].order:
+                return word_moment(word, family)
+            seq = family[v]
+            memo[word[t:]] = sum(
+                seq.k(k) * memo[word[t + k :]] for k in range(1, run + 1)
+            )
+        return memo[word]
 
     def moment(words):
-        total = Fraction(0)
-        for w, c in words.items():
-            if w not in phi_cache:
-                phi_cache[w] = word_moment(w, family)
-            total += c * phi_cache[w]
-        return total
+        return sum((c * phi(w) for w, c in words.items()), Fraction(0))
 
     moments = []
     current = {(): Fraction(1)}
@@ -233,9 +274,7 @@ def element_cumulants(
                 elif len(nxt) < term_cap:
                     nxt[w] = c1 * c2
                 else:
-                    raise ExpansionCapError(
-                        f"power {power} expansion passed the cap of {term_cap} terms"
-                    )
+                    raise cap_passed(power)
         if power > 1:
             moments.append(moment(current))
         current = {w: c for w, c in nxt.items() if c}

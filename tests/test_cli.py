@@ -2,7 +2,9 @@
 deterministic bytes, and the documented exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -1024,6 +1026,40 @@ def test_json_writer_matches_json_dumps_property(value):
     assert _json(value) == json.dumps(_json_value(value), indent=2)
 
 
+# keys with quotes, escapes and "%", which the row template must not read
+TABLE_KEYS = st.text(st.sampled_from('%"\\\x00\n\xe9\u2028\U0001f600 a.17gs'))
+
+
+@st.composite
+def json_tables(draw):
+    header = tuple(draw(st.lists(TABLE_KEYS, unique=True, max_size=4)))
+    cells = JSON_FLOATS if draw(st.booleans()) else JSON_LEAVES  # floats only: template
+    rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=5))
+    return header, rows, draw(st.integers(min_value=0, max_value=len(header)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_tables())
+@example(
+    (("location", "mass"), [(-0.0, 5e-324), (math.inf, -math.inf), (math.nan, 1.5)], 0)
+)
+@example((("kind", "k", "n%s"), [("zeta", 1, 0.5), ("zeta", 1, None)], 2))
+@example((("a", "b"), [], 0))
+@example(((), [(), ()], 0))
+@example((("a", "b"), [(1, 2.0)], 2))
+def test_table_writer_matches_list_of_dicts_property(table):
+    # the table written from its row tuples is _json of one dict per row
+    header, rows, skip = table
+    dicts = [dict(zip(header[skip:], row[skip:])) for row in rows]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        args = argparse.Namespace(format="json")
+        cli._emit_table(args, {"n": 1}, "rows", header, rows, skip)
+    assert out.getvalue() == _json({"n": 1, "rows": dicts}) + "\n"
+    cut = [row[skip:] for row in rows]
+    assert _json([[cli._Table(header[skip:], cut)]]) == _json([[dicts]])
+
+
 def test_json_writer_refuses_other_types():
     for value in (object(), {"a": [1, {2}]}, b"bytes", 1j):
         with pytest.raises(TypeError, match="cannot serialize"):
@@ -1039,20 +1075,34 @@ def _subparsers(parser):
 
 
 def test_parser_declares_only_the_named_command(capsys, monkeypatch):
-    # the named command's parser is the one the full parser holds, help text
-    # and all; the other commands declare nothing but -h
+    # the narrow tree holds only the named group and command, and its help
+    # text at all three levels is the full tree's
     full = _build_parser([])
     for group, group_parser in _subparsers(full).items():
         for command, command_parser in _subparsers(group_parser).items():
             narrow = _build_parser([group, command, "--format", "csv"])
+            assert list(_subparsers(narrow)) == [group]
+            narrow_group = _subparsers(narrow)[group]
+            assert list(_subparsers(narrow_group)) == [command]
             assert narrow.format_help() == full.format_help()
-            for g, gp in _subparsers(narrow).items():
-                assert gp.format_help() == _subparsers(full)[g].format_help()
-                for c, cp in _subparsers(gp).items():
-                    if (g, c) == (group, command):
-                        assert cp.format_help() == command_parser.format_help()
-                    else:
-                        assert cp.format_usage() == f"usage: bqf {g} {c} [-h]\n"
+            assert narrow_group.format_help() == group_parser.format_help()
+            narrow_command = _subparsers(narrow_group)[command]
+            assert narrow_command.format_help() == command_parser.format_help()
+
+    # three parsers for a routed argv, against all 25 for the full tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            argparse.ArgumentParser,
+            "__init__",
+            lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k),
+        )
+        _build_parser(["approx", "zeta", "--k", "1", "--n", "3"])
+        assert built == ["bqf", "bqf approx", "bqf approx zeta"]
+        built.clear()
+        _build_parser(["approx", "-h"])
+        assert len(built) == 25
 
     # run gives the same exit code, stdout and stderr as with the full parser
     zeta = ["zeta", "--k", "1", "--n", "3"]
@@ -1088,5 +1138,10 @@ def test_parser_declares_only_the_named_command(capsys, monkeypatch):
     narrow = outcomes()
     codes = [code for code, _, _ in narrow]
     assert codes == [2, 0, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 1, 2, 2, 0]
+    # the full tree names the arguments, not every choice, in these errors
+    assert "bqf: error: argument group: invalid choice: 'aprox'" in narrow[13][2]
+    assert "bqf approx: error: argument command: invalid choice: 'gamma'" in (
+        narrow[14][2]
+    )
     monkeypatch.setattr(cli, "_build_parser", lambda argv: _build_parser([]))
     assert outcomes() == narrow

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bqf.cumulants import (
+    DEFAULT_TERM_CAP,
     CumulantSequence,
     NCPolynomial,
     constant_family,
@@ -219,6 +220,85 @@ def test_element_cumulants_cap():
     assert element_cumulants(p, fam, 2, term_cap=8).values == (F(1), F(-1))
     with pytest.raises(ExpansionCapError, match="power 2 expansion passed the cap of 7"):
         element_cumulants(p, fam, 2, term_cap=7)
+
+
+def per_word_element_cumulants(poly, family, order, term_cap):
+    """element_cumulants with every word moment taken by word_moment on its
+    own and the cap met only while expanding: the oracle of the suffix memo
+    and of the up-front cap."""
+
+    def moment(words):
+        return sum((c * word_moment(w, family) for w, c in words.items()), F(0))
+
+    moments = []
+    current = {(): F(1)}
+    for power in range(1, order + 1):
+        nxt = {}
+        for w1, c1 in current.items():
+            for c2, w2 in poly.terms:
+                w = w1 + w2
+                if w not in nxt and len(nxt) >= term_cap:
+                    raise ExpansionCapError(
+                        f"power {power} expansion passed the cap of {term_cap} terms"
+                    )
+                nxt[w] = nxt.get(w, F(0)) + c1 * c2
+        if power > 1:
+            moments.append(moment(current))
+        current = {w: c for w, c in nxt.items() if c}
+    moments.append(moment(current))
+    return cumulants_from_moments(moments, order)
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args).values
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# letter 4 never has a sequence and letter 3 not always; short sequences,
+# repeated letters and coefficients that cancel occur often
+WORD_LETTERS = st.sampled_from([1, 1, 2, 2, 3, 4])
+TERM_COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-3, 2)])
+
+
+@st.composite
+def oracle_inputs(draw):
+    if draw(st.booleans()):  # every term one length, as in a quadratic form
+        length = draw(st.integers(min_value=0, max_value=3))
+        words = st.lists(WORD_LETTERS, min_size=length, max_size=length)
+    else:
+        words = st.lists(WORD_LETTERS, max_size=3)
+    poly = NCPolynomial(draw(st.lists(st.tuples(TERM_COEFFS, words), max_size=4)))
+    values = st.sampled_from([F(0), F(1), F(-2), F(1, 3)])
+    family = {
+        v: CumulantSequence(draw(st.lists(values, min_size=1, max_size=4)))
+        for v in (1, 2, 3)
+        if v < 3 or draw(st.booleans())
+    }
+    order = draw(st.integers(min_value=1, max_value=4))
+    term_cap = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 30, DEFAULT_TERM_CAP]))
+    return poly, family, order, term_cap
+
+
+ONE_TWO = NCPolynomial([(1, (1,)), (1, (2,))])
+ONES = {v: CumulantSequence([F(1)] * 4) for v in (1, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_inputs())
+# power 3 passes the cap, but power 1's word moments fail first: a letter
+# with no sequence, a run past its sequence
+@example((NCPolynomial([(1, (1,)), (1, (4,))]), ONES, 3, 5))
+@example((NCPolynomial([(1, (1, 1)), (2, (1, 2))]), {1: CumulantSequence([1])}, 3, 5))
+# the up-front cap: the same power and text as while expanding
+@example((ONE_TWO, ONES, 3, 5))
+@example((ONE_TWO, ONES, 4, 8))
+def test_element_cumulants_matches_per_word_oracle_property(case):
+    # the same values, or the same exception type and text, as word_moment
+    # word by word with the cap met while expanding
+    want = _outcome(per_word_element_cumulants, *case)
+    assert _outcome(element_cumulants, *case) == want
 
 
 def test_mixed_cumulant_examples():
