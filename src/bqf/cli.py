@@ -82,7 +82,11 @@ MODEL_MAX_COUNT = 16
 # take 1.5 s (6.7 MB of JSON), 50 take 29 s in the library alone.  The
 # moment-cumulant conversion is about cubic in the length: 400 values with
 # distinct denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
+# Each shift of stats shifted-sos adds a variable to the polynomial
+# oracle: 64 shifts meet its expansion cap at every --order >= 3 in about
+# 0.7 s a child.
 STATS_MAX_WEIGHTS = 16
+STATS_MAX_SHIFTS = 64
 CONVERT_MAX_VALUES = 400
 
 
@@ -396,15 +400,7 @@ def _cmd_matrix_check(args):
 
     (matrix,) = _matrices(args, 1)
     report = mx.zero_sum_checks(matrix)
-    payload = {
-        "n": matrix.n,
-        "hermitian": True,
-        "is_zero_row_sum": report.is_zero_row_sum,
-        "tr_ja2_zero": report.tr_ja2_zero,
-        "tr_jak_zero_upto_2n": report.tr_jak_zero_upto_2n,
-        "constant_diagonal": report.constant_diagonal,
-    }
-    _emit(args, payload)
+    _emit(args, {"n": matrix.n, "hermitian": True, **report._asdict()})
     return 0
 
 
@@ -414,13 +410,7 @@ def _cmd_matrix_independence(args):
     a, b = _matrices(args, 2)
     result = mx.independence_check(a, b, args.k)
     requested = args.k if args.k is not None else 2 * a.n
-    payload = {
-        "n": a.n,
-        "kmax": 1 if a.n == 2 else requested,
-        "independent": result.independent,
-        "witness_power": result.witness_power,
-        "witness_side": result.witness_side,
-    }
+    payload = {"n": a.n, "kmax": 1 if a.n == 2 else requested, **result._asdict()}
     _emit(args, payload)
     return 0
 
@@ -473,10 +463,7 @@ def _cmd_limit_tangent(args):
 
     a = parse_rational(args.a)
     b = parse_rational(args.b)
-    rows = [
-        (row.n, row.r, row.finite_value, row.limit_value, row.abs_error)
-        for row in ms.tangent_convergence(a, b, args.n, args.order)
-    ]
+    rows = ms.tangent_convergence(a, b, args.n, args.order)
     payload = {"a": a, "b": b, "r_max": args.order}
     header = ("n", "r", "finite", "limit", "abs_error")
     _emit_table(args, payload, "rows", header, rows)
@@ -486,10 +473,7 @@ def _cmd_limit_tangent(args):
 def _cmd_approx(args):
     from . import measure as ms
 
-    rows = [
-        (r.kind, r.k, r.n, r.approx, r.target, r.rel_error)
-        for r in (ms.zeta_zigzag_approx(args.command, args.k, n) for n in args.n)
-    ]
+    rows = [ms.zeta_zigzag_approx(args.command, args.k, n) for n in args.n]
     payload = {"kind": args.command, "k": args.k}
     header = ("kind", "k", "n", "approx", "target", "rel_error")
     _emit_table(args, payload, "rows", header, rows, skip=2)
@@ -517,10 +501,7 @@ def _cmd_measure_levy(args):
 def _cmd_measure_moments(args):
     from . import measure as ms
 
-    rows = [
-        (row.m, row.atom_moment, row.series_moment, row.error)
-        for row in ms.moment_consistency(ms.tangent_atoms(args.pairs), args.order)
-    ]
+    rows = ms.moment_consistency(ms.tangent_atoms(args.pairs), args.order)
     payload = {"pairs": args.pairs, "m_max": args.order}
     _emit_table(args, payload, "rows", ("m", "atom", "series", "error"), rows)
     return 0
@@ -619,7 +600,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         "shifted-sos",
         _cmd_stats_shifted_sos,
         **{
-            "--shifts": dict(required=True),
+            "--shifts": dict(required=True, count=STATS_MAX_SHIFTS),
             "--dist": dict(required=True),
             "--order": bounded(ORACLE_CHECK_MAX_ORDER),
         },

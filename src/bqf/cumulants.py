@@ -15,7 +15,7 @@ accepts.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, ExpansionCapError, OrderShortfallError
@@ -25,8 +25,7 @@ from .rationals import parse_rational, parse_rational_list
 DEFAULT_TERM_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(namedtuple("CumulantSequence", "values")):
     """Cumulants K_1..K_R of one variable, truncated at order R.
 
     values holds Fractions: each value is converted once, here, so that
@@ -35,13 +34,13 @@ class CumulantSequence:
     truncation is a hard boundary, not an implicit zero-fill.
     """
 
-    values: tuple
+    __slots__ = ()
 
-    def __init__(self, values):
+    def __new__(cls, values):
         vals = tuple(map(Fraction, values))
         if not vals:
             raise DomainError("a cumulant sequence needs at least order 1")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def order(self) -> int:
@@ -57,8 +56,7 @@ class CumulantSequence:
         return self.values[n - 1]
 
 
-@dataclass(frozen=True)
-class NCPolynomial:
+class NCPolynomial(namedtuple("NCPolynomial", "terms")):
     """A polynomial in non-commuting variables X_1, X_2, ...
 
     Terms are (coefficient, word) pairs, a word being a tuple of variable
@@ -67,9 +65,9 @@ class NCPolynomial:
     compare equal.
     """
 
-    terms: tuple
+    __slots__ = ()
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         merged = {}
         for coeff, word in terms:
             word = tuple(int(v) for v in word)
@@ -79,7 +77,7 @@ class NCPolynomial:
         cleaned = tuple(
             (merged[w], w) for w in sorted(merged, key=lambda w: (len(w), w)) if merged[w]
         )
-        object.__setattr__(self, "terms", cleaned)
+        return super().__new__(cls, cleaned)
 
     @classmethod
     def variable(cls, index: int) -> "NCPolynomial":
@@ -424,6 +422,8 @@ def _parse_kv(body: str, keys) -> dict:
         key = key.strip()
         if not eq or key not in keys:
             raise DomainError(f"bad preset parameter {piece!r}, expected one of {sorted(keys)}")
+        if key in out:
+            raise DomainError(f"preset parameter {key!r} is given more than once")
         out[key] = parse_rational(val)
     missing = set(keys) - set(out)
     if missing:

@@ -32,7 +32,7 @@ view built on demand for the oracles and the JSON writer.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -45,16 +45,13 @@ from .rationals import format_rational, parse_rational
 from .series import FormalSeries
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(namedtuple("GaussianRational", "re im")):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __new__(cls, re=0, im=0):
+        return super().__new__(cls, Fraction(re), Fraction(im))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -94,23 +91,19 @@ GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
+class HermitianMatrix(namedtuple("HermitianMatrix", "n re im den")):
     """A self-adjoint square matrix with Gaussian-rational entries.
 
     Column j is stored as the integer tuples re[j] and im[j] over den, the
-    lcm of the entries' denominators, so equal matrices have equal fields.
+    lcm of the entries' denominators, all reduced by their common gcd, so
+    equal matrices are equal tuples (n, re, im, den) and hash alike.
     HermitianMatrix(entries) takes rows of GaussianRational, Fraction or
     int.  entries is the GaussianRational view, row by row, built on first
-    access; the integer kernel never reads it.
+    access and kept in the instance dict; the integer kernel never reads
+    it.
     """
 
-    n: int
-    re: tuple
-    im: tuple
-    den: int
-
-    def __init__(self, entries):
+    def __new__(cls, entries):
         rows = [
             [(e.re, e.im) if isinstance(e, GaussianRational) else (Fraction(e), 0) for e in row]
             for row in entries
@@ -132,19 +125,17 @@ class HermitianMatrix:
                         "are not conjugate"
                     )
         # column i is the conjugate of row i
-        self._store(re, [[-y for y in row] for row in im], den)
-
-    def _store(self, re, im, den):
-        """Set the fields from integer columns (re, im) over den, reduced."""
-        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
-        re, im = (tuple(tuple(x // g for x in col) for col in grid) for grid in (re, im))
-        for name, value in zip(("n", "re", "im", "den"), (len(re), re, im, den // g)):
-            object.__setattr__(self, name, value)
-        return self
+        return cls._of_grids(re, [[-y for y in row] for row in im], den)
 
     @classmethod
     def _of_grids(cls, re, im, den):
-        return object.__new__(cls)._store(re, im, den)
+        """The matrix of integer columns (re, im) over den, reduced."""
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        re, im = (tuple(tuple(x // g for x in col) for col in grid) for grid in (re, im))
+        return super().__new__(cls, len(re), re, im, den // g)
+
+    def __reduce__(self):  # copy and pickle rebuild from the grids
+        return self._of_grids, (self.re, self.im, self.den)
 
     @cached_property
     def entries(self) -> tuple:
@@ -249,8 +240,12 @@ def omega_moment(a: HermitianMatrix, m: int):
     return trace_J_power(a, m) * Fraction(1, a.n)
 
 
-@dataclass(frozen=True)
-class ZeroSumReport:
+class ZeroSumReport(
+    namedtuple(
+        "ZeroSumReport",
+        "is_zero_row_sum tr_ja2_zero tr_jak_zero_upto_2n constant_diagonal",
+    )
+):
     """Equivalent zero-row-sum diagnostics, plus the diagonal flag.
 
     The first three fields are mathematically equivalent for self-adjoint
@@ -258,10 +253,7 @@ class ZeroSumReport:
     constant_diagonal flag is independent information.
     """
 
-    is_zero_row_sum: bool
-    tr_ja2_zero: bool
-    tr_jak_zero_upto_2n: bool
-    constant_diagonal: bool
+    __slots__ = ()
 
 
 def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
@@ -285,8 +277,7 @@ def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
 CONTRIBUTIONS_MAX_ORDER = 12
 
 
-@dataclass(frozen=True)
-class QFCumulantReport:
+class QFCumulantReport(namedtuple("QFCumulantReport", "order value matrix seq")):
     """One quadratic-form cumulant with its per-partition breakdown.
 
     value is the real total, from the composition DP.  contributions
@@ -295,11 +286,6 @@ class QFCumulantReport:
     per-partition enumeration oracle, run on first access and only up to
     order CONTRIBUTIONS_MAX_ORDER (above it, DomainError).
     """
-
-    order: int
-    value: object
-    matrix: HermitianMatrix = field(repr=False)
-    seq: object = field(repr=False)
 
     @cached_property
     def contributions(self) -> tuple:
@@ -576,13 +562,16 @@ def mixed_qf_cumulant(mats) -> object:
     return _real_total(u, den, "mixed quadratic-form cumulant")
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(
+    namedtuple(
+        "IndependenceResult",
+        "independent witness_power witness_side",
+        defaults=(None, None),
+    )
+):
     """Outcome of the two-sided J A^k B vanishing scan."""
 
-    independent: bool
-    witness_power: int | None = None
-    witness_side: str | None = None
+    __slots__ = ()
 
 
 def independence_check(

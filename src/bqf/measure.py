@@ -18,7 +18,7 @@ with a proven remainder bound, and correctly rounded.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,17 +37,16 @@ POLE_GUARD = 1e-6
 ATOM_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
     """A purely atomic measure: (location, mass) pairs sorted by location.
 
     Masses are positive, locations strictly increasing, and the total mass
     never exceeds 1 beyond binary64 slack.
     """
 
-    atoms: tuple
+    __slots__ = ()
 
-    def __init__(self, atoms):
+    def __new__(cls, atoms):
         pairs = tuple((float(loc), float(mass)) for loc, mass in atoms)
         if not pairs:
             raise DomainError("a measure needs at least one atom")
@@ -60,7 +59,7 @@ class AtomicMeasure:
         total = math.fsum(mass for _, mass in pairs)
         if total > 1 + 1e-12:
             raise DomainError(f"total mass {total} exceeds 1")
-        object.__setattr__(self, "atoms", pairs)
+        return super().__new__(cls, pairs)
 
     def total_mass(self) -> float:
         return math.fsum(mass for _, mass in self.atoms)
@@ -177,14 +176,10 @@ def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> fl
     return acc
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(namedtuple("MomentRow", "m atom_moment series_moment error")):
     """One moment-consistency line: atom sum vs exact series coefficient."""
 
-    m: int
-    atom_moment: float
-    series_moment: float
-    error: float
+    __slots__ = ()
 
 
 def moment_consistency(measure: AtomicMeasure, m_max: int) -> list:
@@ -207,15 +202,12 @@ def moment_consistency(measure: AtomicMeasure, m_max: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(
+    namedtuple("ConvergenceRow", "n r finite_value limit_value abs_error")
+):
     """One finite-size-vs-limit line of a convergence table."""
 
-    n: int
-    r: int
-    finite_value: float
-    limit_value: float
-    abs_error: float
+    __slots__ = ()
 
 
 def tangent_convergence(a, b, n_list, r_max: int) -> list:
@@ -289,16 +281,10 @@ def _p_series_target(exponent: int) -> float:
     return float(low)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(namedtuple("ApproxResult", "kind k n approx target rel_error")):
     """A trace approximation next to its target constant."""
 
-    kind: str
-    k: int
-    n: int
-    approx: float
-    target: float
-    rel_error: float
+    __slots__ = ()
 
 
 def zeta_zigzag_approx(kind: str, k: int, n: int) -> ApproxResult:

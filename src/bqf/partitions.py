@@ -8,27 +8,24 @@ of two partitions cuts where both do, and the join is the one-block
 partition exactly when the cut sets are disjoint.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(namedtuple("IntervalPartition", "n cuts")):
     """An interval partition of {1, ..., n}, stored as its set of cuts."""
 
-    n: int
-    cuts: frozenset
+    __slots__ = ()
 
-    def __init__(self, n: int, cuts=()):
+    def __new__(cls, n: int, cuts=()):
         if n < 1:
             raise DomainError(f"ground set size must be positive, got {n}")
         cutset = frozenset(int(c) for c in cuts)
         for c in cutset:
             if not 1 <= c <= n - 1:
                 raise DomainError(f"cut {c} outside 1..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cuts", cutset)
+        return super().__new__(cls, n, cutset)
 
     def blocks(self) -> tuple:
         """The blocks as tuples of positions, left to right."""
@@ -56,8 +53,7 @@ class IntervalPartition:
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks())
 
 
-@dataclass(frozen=True)
-class ClosureStructure:
+class ClosureStructure(namedtuple("ClosureStructure", "outer inner")):
     """Positions split for the projector-closure evaluation of a partition.
 
     outer lists the first position of each block, left to right; inner
@@ -66,8 +62,7 @@ class ClosureStructure:
     disjointly.
     """
 
-    outer: tuple
-    inner: tuple
+    __slots__ = ()
 
 
 def top_partition(n: int) -> IntervalPartition:

@@ -6,7 +6,7 @@ routes and cross-checked before being returned.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -14,17 +14,16 @@ from .errors import DomainError
 _SERIES_KINDS = ("tan", "arctan", "sec")
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(namedtuple("FormalSeries", "coeffs")):
     """Coefficients c_0..c_N of a series truncated at order N."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         vals = tuple(Fraction(c) for c in coeffs)
         if not vals:
             raise DomainError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", vals)
+        return super().__new__(cls, vals)
 
     @property
     def order(self) -> int:
@@ -212,20 +211,19 @@ def zigzag_numbers(k_max: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(namedtuple("RationalPolynomial", "coeffs")):
     """A one-variable polynomial with Fraction coefficients, constant first
     (the shape of tangent_polynomial, the oracle of limit_h_series)."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         vals = [Fraction(c) for c in coeffs]
         while len(vals) > 1 and not vals[-1]:
             vals.pop()
         if not vals:
             vals = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(vals))
+        return super().__new__(cls, tuple(vals))
 
     @property
     def degree(self) -> int:

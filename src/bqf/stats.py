@@ -9,7 +9,7 @@ of squares is evaluated purely by the polynomial oracle.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cumulants import (
@@ -28,39 +28,35 @@ from .matrices import (
 from .partitions import enumerate_interval, lift_matching
 
 
-@dataclass(frozen=True)
-class LinearFormSpec:
+class LinearFormSpec(namedtuple("LinearFormSpec", "weights")):
     """Weights of a linear form in n >= 2 variables."""
 
-    weights: tuple
+    __slots__ = ()
 
-    def __init__(self, weights):
+    def __new__(cls, weights):
         w = tuple(Fraction(x) for x in weights)
         if len(w) < 2:
             raise DomainError(f"need at least two weights, got {len(w)}")
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, w)
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(namedtuple("ShiftVector", "shifts s")):
     """A tuple of scalar shifts together with its cached sum of squares."""
 
-    shifts: tuple
-    s: Fraction
+    __slots__ = ()
 
-    def __init__(self, shifts, s=None):
+    def __new__(cls, shifts, s=None):
         sh = tuple(Fraction(x) for x in shifts)
         if not sh:
             raise DomainError("need at least one shift")
         total = sum((x * x for x in sh), Fraction(0))
         if s is not None and Fraction(s) != total:
             raise DomainError(f"cached sum of squares {s} != recomputed {total}")
-        object.__setattr__(self, "shifts", sh)
-        object.__setattr__(self, "s", total)
+        return super().__new__(cls, sh, total)
 
     @property
     def sum_squares(self) -> Fraction:
@@ -139,18 +135,17 @@ def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
 def shifted_sos_cumulants(shifts: ShiftVector, family, order: int) -> list:
     """K_1, ..., K_order of sum_i (X_i + a_i)^2, by the polynomial oracle.
 
-    Expands to sum_i (X_i^2 + 2 a_i X_i) plus the scalar sum of squares
-    and feeds the result through one element_cumulants call, which
-    expands each power once for all orders; no closed form is assumed
-    here.
+    Builds sum_i (X_i^2 + 2 a_i X_i) plus the scalar sum of squares as
+    one NCPolynomial and feeds it through one element_cumulants call,
+    which expands each power once for all orders; no closed form is
+    assumed here.
     """
     if order < 1:
         raise DomainError(f"cumulant order must be positive, got {order}")
-    poly = NCPolynomial.scalar(shifts.s)
+    terms = [(shifts.s, ())]
     for i, a in enumerate(shifts.shifts, start=1):
-        xi = NCPolynomial.variable(i)
-        poly = poly + xi * xi + 2 * a * xi
-    return list(element_cumulants(poly, family, order).values)
+        terms += [(1, (i, i)), (2 * a, (i,))]
+    return list(element_cumulants(NCPolynomial(terms), family, order).values)
 
 
 def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):

@@ -36,6 +36,7 @@ from bqf.cli import (
     PARTITIONS_MAX_N,
     QF_MAX_ORDER,
     STATS_MAX_ORDER,
+    STATS_MAX_SHIFTS,
     STATS_MAX_WEIGHTS,
     _build_parser,
     _fmt_float,
@@ -448,6 +449,23 @@ def test_stats_shifted_sos_expansion_cap_is_an_error(capsys):
     assert err.splitlines()[-1].startswith("error: power 4 expansion passed the cap")
 
 
+def test_stats_shifted_sos_shift_count_is_bounded(capsys):
+    # the list is counted before any shift is parsed; at the bound the
+    # order-1 run is quick, K_1 = sum E[(X_i + 1)^2] = 2 per shift
+    dist = ["--dist", "gaussian:c=0,v=1", "--order", "1"]
+    many = ",".join(["x"] * (STATS_MAX_SHIFTS + 1))
+    code, out, err = invoke(capsys, ["stats", "shifted-sos", f"--shifts={many}", *dist])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: --shifts takes at most {STATS_MAX_SHIFTS} values, "
+        f"got {STATS_MAX_SHIFTS + 1}\n"
+    )
+    ones = ",".join(["1"] * STATS_MAX_SHIFTS)
+    code, payload = invoke_json(capsys, ["stats", "shifted-sos", f"--shifts={ones}", *dist])
+    assert code == 0
+    assert payload["cumulants"] == [str(2 * STATS_MAX_SHIFTS)]
+
+
 def test_stats_symmetrized(capsys):
     code, payload = invoke_json(
         capsys,
@@ -610,13 +628,14 @@ def test_exit_code_on_matrix_file_that_is_not_utf8(capsys, tmp_path):
 
 
 def test_exit_code_on_domain_error(capsys):
-    # a bad rational, then a preset with a bad parameter, with none, and
-    # an evenpoisson preset without odd=
+    # a bad rational, then a preset with a bad parameter, with none, with
+    # one given twice, and an evenpoisson preset without odd=
     sample = ["stats", "sample-variance", "--n", "3", "--order", "2", "--dist"]
     cases = [
         ["cumulants", "convert", "--moments", "1,x,3"],
         sample + ["gaussian:c=1,x=2"],
         sample + ["gaussian"],
+        sample + ["poisson:lambda=1,alpha=1,alpha=2"],
         sample + ["evenpoisson:x=1"],
     ]
     for argv in cases:
@@ -833,6 +852,36 @@ def test_each_subcommand_imports_only_the_layers_it_calls():
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stderr.split())
         assert not loaded & unwanted, (argv, sorted(loaded))
+
+
+def test_cli_and_layers_import_neither_dataclasses_nor_inspect():
+    # the value types are namedtuples, so a CLI child pays for neither
+    # module; one fresh child imports the CLI and every layer
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
+    script = (
+        "import sys\n"
+        "import bqf.cli, bqf.partitions, bqf.cumulants, bqf.series\n"
+        "import bqf.matrices, bqf.stats, bqf.measure\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_every_bound_is_named_in_the_readme():
+    # a bound added to bqf.cli lands with its line in the README's list
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    bounds = [name for name in vars(cli) if re.fullmatch(r"[A-Z_]+_MAX_[A-Z_]+", name)]
+    assert len(bounds) >= 17
+    assert [name for name in bounds if f"(`{name}`)" not in text] == []
 
 
 def test_zeta_approximations_run_without_numpy():

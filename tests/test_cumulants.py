@@ -497,6 +497,17 @@ def test_parse_distribution():
         parse_distribution("gaussian:c=1", 3)
 
 
+def test_parse_distribution_rejects_a_repeated_parameter():
+    # the last value would otherwise win silently
+    for text, key in [
+        ("poisson:lambda=1,alpha=1,alpha=2", "alpha"),
+        ("gaussian:c=1,v=2,c=5", "c"),
+        ("gaussian:c=1,c=1,v=2", "c"),
+    ]:
+        with pytest.raises(DomainError, match=f"'{key}' is given more than once"):
+            parse_distribution(text, 3)
+
+
 def test_polynomial_algebra():
     x = NCPolynomial.variable(1)
     y = NCPolynomial.variable(2)
