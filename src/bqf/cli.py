@@ -9,8 +9,9 @@ fixed key order and two-space indentation, exact rationals appear as
 "p/q" strings, and binary64 values ride inside a {"float": true,
 "value": "<17 significant digits>"} wrapper so that no reader can mistake
 them for exact data.  The JSON text is exactly what json.dumps(indent=2)
-writes for that converted tree, written in one pass by _json; tables are
-written from their row tuples.
+writes for that converted tree, written in one pass by _json; a table of
+floats only is written straight from its row tuples, any other table as
+one dict per row.
 
 Exit codes: 0 on success, 1 on domain errors (bad matrix data, orders out
 of range, and the oracle-check command finding a mismatch), 2 on usage
@@ -18,14 +19,15 @@ errors.
 """
 
 import argparse
-import io
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError
 from .rationals import (
+    RATIONAL_MAX_BITS,  # every rational read from outside, in parse_rational
     format_rational,
     parse_rational,
     parse_rational_list,
@@ -134,7 +136,7 @@ def _json(value, pad="") -> str:
     if isinstance(value, Fraction):
         return f'"{format_rational(value)}"'
     if isinstance(value, _Table):
-        return _table_json(value.keys, value.rows, pad)
+        return _table_json(value, pad)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
@@ -152,50 +154,28 @@ def _json(value, pad="") -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-class _Table:
-    """A JSON list with one object per row, pairing the distinct keys with
-    the row's cells; _json writes it from the row tuples, building no dict."""
-
-    __slots__ = ("keys", "rows")
-
-    def __init__(self, keys, rows):
-        self.keys = keys
-        self.rows = rows
+# A JSON list with one object per row, pairing the distinct keys with the
+# row's cells; _json writes it with _table_json.
+_Table = namedtuple("_Table", "keys rows")
 
 
-def _table_json(keys, rows, pad) -> str:
-    """_json of [dict(zip(keys, row)) for row in rows]: the key prefixes and
-    the float wrapper around a cell are laid out once per table, and a table
-    of floats only fills one %-template per row."""
-    if not rows:
-        return "[]"
+def _table_json(table, pad) -> str:
+    """_json of [dict(zip(keys, row)) for row in rows]; a table of floats
+    only (atoms, levy) fills one %-template per row and builds no dict."""
+    keys, rows = table
+    if not (keys and rows and all(type(v) is float for row in rows for v in row)):
+        return _json([dict(zip(keys, row)) for row in rows], pad)
     inner = pad + "  "
     cell = inner + "  "
-    prefixes = [f"{cell}{encode_basestring_ascii(k)}: " for k in keys]
     head = f'{{\n{cell}  "float": true,\n{cell}  "value": "'
     tail = f'"\n{cell}}}'
-    close = f"\n{inner}}}"
-    if not keys:
-        objects = [inner + "{}"] * len(rows)
-    elif all(type(v) is float for row in rows for v in row):
-        # "%.17g" % v is format(v, ".17g") for every float, inf and nan too
-        fields = [p.replace("%", "%%") + head + "%.17g" + tail for p in prefixes]
-        template = inner + "{\n" + ",\n".join(fields) + close
-        objects = [template % row for row in rows]
-    else:
-        objects = [
-            inner
-            + "{\n"
-            + ",\n".join(
-                p + head + _fmt_float(v) + tail
-                if isinstance(v, float)
-                else p + _json(v, cell)
-                for p, v in zip(prefixes, row)
-            )
-            + close
-            for row in rows
-        ]
-    return "[\n" + ",\n".join(objects) + f"\n{pad}]"
+    # "%.17g" % v is format(v, ".17g") for every float, inf and nan too
+    fields = [
+        f"{cell}{encode_basestring_ascii(k).replace('%', '%%')}: {head}%.17g{tail}"
+        for k in keys
+    ]
+    template = inner + "{\n" + ",\n".join(fields) + f"\n{inner}}}"
+    return "[\n" + ",\n".join([template % row for row in rows]) + f"\n{pad}]"
 
 
 def _cell(value) -> str:
@@ -218,16 +198,14 @@ def _emit(args, payload: dict, header=None, rows=None):
         return
     if header is None:
         header = ("key", "value")
-        rows = [(k, v) for k, v in payload.items() if not isinstance(v, (list, dict))]
+        rows = payload.items()
     if args.format == "csv":
         import csv
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-        out.write(buffer.getvalue())
         return
     out.write("  ".join(header) + "\n")
     for row in rows:

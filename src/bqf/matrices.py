@@ -655,7 +655,7 @@ def matrix_from_json_obj(obj) -> HermitianMatrix:
     if "n" not in obj or "entries" not in obj:
         raise DomainError('matrix JSON needs keys "n" and "entries"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass: true is no size
         raise DomainError(f'"n" must be a positive integer, got {n!r}')
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -683,10 +683,10 @@ def load_matrix(path) -> HermitianMatrix:
             obj = json.load(handle)
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"matrix file {path} cannot be read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return matrix_from_json_obj(obj)
 
 

@@ -219,7 +219,8 @@ def tangent_convergence(a, b, n_list, r_max: int) -> list:
     all-singletons partition, of weight K_1^2 = 1/n, so K_r = Tr(P S^r)
     exactly for every n.  That trace is the binomial expansion of the
     exact moments Tr(P (aP + bB)^j) from limit_mgf_series; each K_r is
-    rounded once, for the table.
+    rounded once, for the table, and a K_r beyond the float range raises
+    DomainError.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be positive, got {r_max}")
@@ -235,8 +236,14 @@ def tangent_convergence(a, b, n_list, r_max: int) -> list:
                 math.comb(r, j) * shift ** (r - j) * moments.coefficient(j)
                 for j in range(r + 1)
             )
-            finite = float(exact)
-            target = float(limit.coefficient(r))
+            try:
+                finite = float(exact)
+                target = float(limit.coefficient(r))
+            except OverflowError:
+                raise DomainError(
+                    f"K_{r} of the model at n = {n} or of the limit "
+                    "does not fit in a float"
+                ) from None
             rows.append(ConvergenceRow(n, r, finite, target, abs(finite - target)))
     return rows
 

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -52,7 +53,7 @@ from bqf.matrices import (
     matrix_scale,
     save_matrix,
 )
-from bqf.rationals import format_rational, parse_rational
+from bqf.rationals import RATIONAL_MAX_BITS, format_rational, parse_rational
 
 COUPLED3_A = [[-15, 6, 1], [6, 9, -8], [1, -8, 5]]
 COUPLED3_B = [[-1, 16, 60], [16, 44, 90], [60, 90, 75]]
@@ -643,6 +644,83 @@ def test_exit_code_on_domain_error(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_parse_rational_bounds_numerator_and_denominator():
+    # each part below 2**RATIONAL_MAX_BITS; a huge decimal exponent is
+    # refused before Fraction raises 10 to it (1e10000000 alone takes 13 s)
+    top = 2**RATIONAL_MAX_BITS - 1
+    assert parse_rational(f"-{top}/{top - 1}") == F(-top, top - 1)
+    assert parse_rational("1" + "0" * 100 + "e-100") == 1
+    bound = f"needs more than {RATIONAL_MAX_BITS} bits in its numerator or denominator$"
+    start = time.perf_counter()
+    for text in (str(top + 1), f"1/{top + 1}", "1e-10", "1e100", "1e10000000"):
+        with pytest.raises(DomainError, match=f"^'{text}' {bound}"):
+            parse_rational(text)
+    assert time.perf_counter() - start < 1
+
+
+TANGENT = ["limit", "tangent", "--n", "10", "--order", "64"]
+GAUSS = ["--dist", "gaussian:c=0,v=1", "--order", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, named, refused_up_front",
+    [
+        # K_r past the float range, with every flag inside its bound
+        pytest.param(
+            TANGENT + ["--a", "100000", "--b", "1"], "K_62 of the model at n = 10", False,
+            id="overflow-a",
+        ),
+        pytest.param(
+            TANGENT + ["--a", "0", "--b", "1000000"], "K_54 of the model at n = 10", False,
+            id="overflow-b",
+        ),
+        # a 333-bit rational in each place one enters
+        pytest.param(TANGENT + ["--a", "1e100", "--b", "1"], "'1e100'", True, id="a"),
+        pytest.param(
+            ["stats", "sample-variance", "--n", "3", "--order", "1000",
+             "--dist", "poisson:lambda=1,alpha=1e100"], "'1e100'", True, id="preset",
+        ),
+        pytest.param(
+            ["stats", "symmetrized", "--weights=1e100,-1e100"] + GAUSS, "'1e100'", True,
+            id="weights",
+        ),
+        pytest.param(
+            ["stats", "shifted-sos", "--shifts=1e100,1"] + GAUSS, "'1e100'", True,
+            id="shifts",
+        ),
+        pytest.param(
+            ["cumulants", "convert", "--moments", "1,1e100"], "'1e100'", True, id="moments"
+        ),
+        pytest.param(
+            ["cumulants", "qf", "--matrix", "big.json"] + GAUSS, "'1e100'", True,
+            id="matrix-entry",
+        ),
+        # JSON true is no matrix size, and json reads no int past 4300 digits
+        pytest.param(
+            ["matrix", "check", "--matrix", "bool.json"], "got True", True, id="bool-size"
+        ),
+        pytest.param(
+            ["matrix", "check", "--matrix", "digits.json"], "is not valid JSON", True,
+            id="digits",
+        ),
+    ],
+)
+def test_hostile_input_ends_in_one_error_line(
+    capsys, monkeypatch, tmp_path, argv, named, refused_up_front
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text('{"n": 1, "entries": [[["1e100", "0"]]]}')
+    (tmp_path / "bool.json").write_text('{"n": true, "entries": [[["1", "0"]]]}')
+    (tmp_path / "digits.json").write_text('{"n": 1, "entries": [[[1' + "0" * 5000 + ", 0]]]}")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert named in err and "Traceback" not in err
+    assert elapsed < 1 or not refused_up_front
 
 
 def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files, tmp_path):

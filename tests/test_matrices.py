@@ -821,6 +821,12 @@ def test_matrix_json_errors(tmp_path):
         load_matrix(bad)
 
 
+def test_matrix_json_refuses_a_boolean_size():
+    # JSON true is a Python bool, an int subclass, but no matrix size
+    with pytest.raises(DomainError, match='^"n" must be a positive integer, got True$'):
+        matrix_from_json_obj({"n": True, "entries": [[["1", "0"]]]})
+
+
 def test_random_hermitian_is_self_adjoint_and_real_mode():
     rng = random.Random(3)
     a = random_hermitian(rng, 4)

@@ -245,6 +245,10 @@ def test_tangent_convergence_guards():
         tangent_convergence(0, 1, [4], 0)
     with pytest.raises(DomainError):
         tangent_convergence(0, 1, [0], 2)
+    # a K_r past the float range names r and n instead of an OverflowError
+    with pytest.raises(DomainError, match=r"^K_31 of the model at n = 10 or of the limit "):
+        tangent_convergence(10**10, 1, [10], 40)
+    assert tangent_convergence(10**10, 1, [10], 30)[-1].limit_value == 1e300
 
 
 def system_matrix(a, b, n):
