@@ -227,6 +227,8 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"not a list of positive integers: {text!r}")
     return values
 
 

@@ -1,16 +1,17 @@
 """Boolean cumulant calculus over exact rationals.
 
-Moments and cumulants determine each other through the interval-partition
-moment formula; because only the partition into one block has no cut, the
-formula collapses to the convolution recursion
+Only the one-block interval partition has no cut, so peeling the first
+block of the moment formula gives one recursion,
 
-    m_n = sum_{k=1..n} K_k m_{n-k},  m_0 = 1,
+    phi(P_1 ... P_j) = sum_{k=1..j} K_k(P_1, ..., P_k) phi(P_{k+1} ... P_j).
 
-which both conversion directions use.  Word moments of several variables,
-the polynomial oracle built on them, mixed cumulants by the same recursion
-solved prefix by prefix, grouped product cumulants, and the scalar shift
-rule all live here, together with the cumulant presets the command line
-accepts.
+For one variable it is the convolution m_n = sum_k K_k m_{n-k}, which
+moments_from_cumulants runs forward.  One prefix solve, _prefix_cumulants,
+reads it for the cumulants (cumulants_from_moments, mixed_cumulant), and
+one evaluator, _word_moments, for the word moments of an independent family
+(word_moment, polynomial_moment, the polynomial oracle element_cumulants,
+mixed_cumulant).  Grouped product cumulants, the scalar shift rule and the
+cumulant presets the command line accepts live here too.
 """
 
 import itertools
@@ -131,6 +132,15 @@ def moments_from_cumulants(seq: CumulantSequence, n_max: int) -> list:
     return moments[1:]
 
 
+def _prefix_cumulants(phi, n: int) -> list:
+    """K_1..K_n from phi(i, j), the moment of the segment i + 1..j, solving
+    phi(0, j) = K_j + sum_{k<j} K_k phi(k, j) for K_1, ..., K_n in turn."""
+    kappa = []
+    for j in range(1, n + 1):
+        kappa.append(phi(0, j) - sum(kappa[k - 1] * phi(k, j) for k in range(1, j)))
+    return kappa
+
+
 def cumulants_from_moments(moments, n_max: int | None = None) -> CumulantSequence:
     """Cumulants K_1..K_n_max from moments m_1..., inverting the recursion."""
     moments = list(moments)
@@ -142,29 +152,12 @@ def cumulants_from_moments(moments, n_max: int | None = None) -> CumulantSequenc
         raise DomainError(
             f"cumulants to order {n_max} need moments to order {n_max}, got {len(moments)}"
         )
-    full = [Fraction(1)] + [m for m in moments]  # m_0 prepended
-    kappa = []
-    for n in range(1, n_max + 1):
-        tail = sum(kappa[k - 1] * full[n - k] for k in range(1, n))
-        kappa.append(full[n] - tail)
-    return CumulantSequence(kappa)
+    return CumulantSequence(_prefix_cumulants(lambda i, j: moments[j - i - 1], n_max))
 
 
-def word_moment(word, family) -> Fraction:
-    """Joint moment of X_{w_1} X_{w_2} ... X_{w_m} for an independent family.
-
-    family maps variable index to its CumulantSequence.  Evaluates the
-    interval-partition sum by peeling the first block: only blocks with a
-    constant variable contribute, so with run(s) the length of the run of
-    w_s starting at s,
-
-        phi(w_{s:}) = sum_{k=1..run(s)} K_k(X_{w_s}) phi(w_{s+k:}),
-
-    filled in one backward pass over s.
-    """
-    word = tuple(word)
-    if not word:
-        return Fraction(1)
+def _refuse_word(word, family):
+    """Raise word_moment's error for a word it cannot evaluate: a variable
+    without a sequence, else the leftmost run longer than its sequence."""
     for v in set(word):
         if v not in family:
             raise DomainError(f"no cumulant sequence for variable {v}")
@@ -175,18 +168,52 @@ def word_moment(word, family) -> Fraction:
                 f"variable {v} repeats {run} times in a row but its "
                 f"sequence stops at order {family[v].order}"
             )
-    m = len(word)
-    phi = [Fraction(0)] * m + [Fraction(1)]
-    for s in reversed(range(m)):
-        run = run + 1 if s + 1 < m and word[s + 1] == word[s] else 1
-        seq = family[word[s]]
-        phi[s] = sum(seq.k(k) * phi[s + k] for k in range(1, run + 1))
-    return phi[0]
+
+
+def _word_moments(family):
+    """phi(word), the joint moment of a word in the independent family.
+
+    Only blocks with one variable count, so with run(s) the length of the
+    run of w_s from s, phi(w_{s:}) = sum_{k=1..run(s)} K_k(X_{w_s})
+    phi(w_{s+k:}).  The values are kept by suffix for the life of phi, in
+    a trie read from the end of the word: each word is walked back through
+    its longest suffix already known, and only the positions before it are
+    filled.
+    """
+    child = {}  # (node of w_{s+1:}, w_s) -> node of w_{s:}; node 0 is ()
+    value = [Fraction(1)]  # phi of each node's suffix
+
+    def phi(word):
+        m = len(word)
+        at = [0] * (m + 1)  # at[s]: the node of w_{s:}
+        run = 0
+        for t in reversed(range(m)):
+            v = word[t]
+            run = run + 1 if t + 1 < m and word[t + 1] == v else 1
+            key = (at[t + 1], v)
+            node = child.get(key)
+            if node is None:
+                if v not in family or run > family[v].order:
+                    _refuse_word(word, family)
+                ks = family[v].values
+                node = child[key] = len(value)
+                value.append(sum(ks[k - 1] * value[at[t + k]] for k in range(1, run + 1)))
+            at[t] = node
+        return value[at[0]]
+
+    return phi
+
+
+def word_moment(word, family) -> Fraction:
+    """Joint moment of X_{w_1} X_{w_2} ... X_{w_m} for an independent family
+    (variable index -> CumulantSequence): the interval-partition sum."""
+    return _word_moments(family)(tuple(word))
 
 
 def polynomial_moment(poly: NCPolynomial, family) -> Fraction:
     """Expectation of a polynomial: coefficient-weighted word moments."""
-    return sum((c * word_moment(w, family) for c, w in poly.terms), Fraction(0))
+    phi = _word_moments(family)
+    return sum((c * phi(w) for c, w in poly.terms), Fraction(0))
 
 
 def element_cumulants(
@@ -208,10 +235,8 @@ def element_cumulants(
     same error is raised before any expansion, once the family shows that
     no word moment below that power can fail first.
 
-    The word moments are word_moment's interval-partition sums, shared by
-    suffix within the call: phi(w_{s:}) depends only on the suffix, so each
-    word is filled back from its longest suffix already known.  A word that
-    word_moment would refuse is handed to it, to raise the same error.
+    The word moments share one word-moment evaluator, and so their
+    suffixes; a word that word_moment refuses raises the same error.
     """
     if order < 1:
         raise DomainError(f"cumulant order must be positive, got {order}")
@@ -234,27 +259,7 @@ def element_cumulants(
         ):
             raise cap_passed(power)
 
-    memo = {(): Fraction(1)}  # phi by suffix; every suffix of a key is a key
-
-    def phi(word):
-        value = memo.get(word)
-        if value is not None:
-            return value
-        s = 1
-        while word[s:] not in memo:
-            s += 1
-        for t in reversed(range(s)):
-            v = word[t]
-            run = 1
-            while t + run < len(word) and word[t + run] == v:
-                run += 1
-            if v not in family or run > family[v].order:
-                return word_moment(word, family)
-            seq = family[v]
-            memo[word[t:]] = sum(
-                seq.k(k) * memo[word[t + k :]] for k in range(1, run + 1)
-            )
-        return memo[word]
+    phi = _word_moments(family)
 
     def moment(words):
         return sum((c * phi(w) for w, c in words.items()), Fraction(0))
@@ -281,30 +286,21 @@ def element_cumulants(
 
 
 def mixed_cumulant(args, family) -> Fraction:
-    """The multilinear cumulant K_n(P_1, ..., P_n) of polynomial arguments.
-
-    Peeling the first block of the moment formula gives, for each prefix,
-
-        phi(P_1 ... P_j) = sum_{k=1..j} K_k(P_1, ..., P_k) phi(P_{k+1} ... P_j),
-
-    solved for the prefix cumulants K_1, K_2, ..., K_n in turn.
-    """
+    """The multilinear cumulant K_n(P_1, ..., P_n) of polynomial arguments,
+    by the prefix solve over the moments of the contiguous sub-products
+    P_{i+1} ... P_j, whose words share one word-moment evaluator."""
     args = [_coerce_poly(a) for a in args]
     n = len(args)
     if n < 1:
         raise DomainError("mixed cumulant needs at least one argument")
-    # phi of every contiguous sub-product, half-open indices [i, j).
-    seg = {}
+    phi = _word_moments(family)
+    seg = {}  # phi of every contiguous sub-product, half-open indices [i, j)
     for i in range(n):
         acc = NCPolynomial.scalar(1)
         for j in range(i + 1, n + 1):
             acc = acc * args[j - 1]
-            seg[(i, j)] = polynomial_moment(acc, family)
-    kappa = []
-    for j in range(1, n + 1):
-        tail = sum(kappa[k - 1] * seg[(k, j)] for k in range(1, j))
-        kappa.append(seg[(0, j)] - tail)
-    return kappa[-1]
+            seg[i, j] = sum((c * phi(w) for c, w in acc.terms), Fraction(0))
+    return _prefix_cumulants(lambda i, j: seg[i, j], n)[-1]
 
 
 def product_cumulant(grouping, word, family) -> Fraction:

@@ -685,7 +685,9 @@ def load_matrix(path) -> HermitianMatrix:
         raise
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"matrix file {path} cannot be read: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int past the digit limit, or arrays nested
+        # past the recursion limit
         raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return matrix_from_json_obj(obj)
 

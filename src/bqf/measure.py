@@ -306,7 +306,7 @@ def zeta_zigzag_approx(kind: str, k: int, n: int) -> ApproxResult:
     so the cost does not grow with n; rounding happens only at the end.
     """
     if n < 1:
-        raise DomainError(f"matrix size must be positive, got {n}")
+        raise DomainError(f"model size must be positive, got {n}")
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     if kind == "zeta":

@@ -661,6 +661,9 @@ def test_parse_rational_bounds_numerator_and_denominator():
 
 
 TANGENT = ["limit", "tangent", "--n", "10", "--order", "64"]
+# arrays nested past the recursion limit, also the raised one hypothesis
+# runs its examples under
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 GAUSS = ["--dist", "gaussian:c=0,v=1", "--order", "2"]
 
 
@@ -705,6 +708,11 @@ GAUSS = ["--dist", "gaussian:c=0,v=1", "--order", "2"]
             ["matrix", "check", "--matrix", "digits.json"], "is not valid JSON", True,
             id="digits",
         ),
+        # nor arrays nested past the recursion limit
+        pytest.param(
+            ["matrix", "check", "--matrix", "deep.json"], "is not valid JSON", True,
+            id="deep",
+        ),
     ],
 )
 def test_hostile_input_ends_in_one_error_line(
@@ -714,6 +722,7 @@ def test_hostile_input_ends_in_one_error_line(
     (tmp_path / "big.json").write_text('{"n": 1, "entries": [[["1e100", "0"]]]}')
     (tmp_path / "bool.json").write_text('{"n": true, "entries": [[["1", "0"]]]}')
     (tmp_path / "digits.json").write_text('{"n": 1, "entries": [[[1' + "0" * 5000 + ", 0]]]}")
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     elapsed = time.perf_counter() - start
@@ -883,6 +892,27 @@ def test_flags_are_checked_by_the_parser(capsys, matrix_files):
         assert out == ""
         last = err.splitlines()[-1]
         assert "error:" in last and flag in last
+
+
+def test_nonpositive_model_size_is_refused_before_any_work(capsys):
+    # each listed n costs one series, seconds at --k 64; a size below 1 is
+    # a usage error before the first of them
+    argvs = [
+        ["approx", kind, "--k", str(APPROX_MAX_K), "--n", "1000000,-1"]
+        for kind in ("zeta", "tangent", "zigzag")
+    ]
+    argvs.append(["limit", "tangent", "--a", "1/2", "--b", "1", "--order", "64", "--n", "5,0"])
+    for argv in argvs:
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --n: not a list of positive integers: {argv[-1]!r}"
+        )
 
 
 def test_main_entry_point_subprocess():
@@ -1272,3 +1302,84 @@ def test_parser_declares_only_the_named_command(capsys, monkeypatch):
     )
     monkeypatch.setattr(cli, "_build_parser", lambda argv: _build_parser([]))
     assert outcomes() == narrow
+
+
+# (good, hostile) values for each kind of declared flag, all cheap to run:
+# no order, size or count above 3, so an argv that passes every check
+# finishes in milliseconds.
+INTS = (["1", "2", "3"], ["-1", "0", "x", "1/0", "nan", "1e999999999"])
+N_LISTS = (["3", "2,3"], ["0", "-1", "5,0", "1000000,-1", ",", "3,x"])
+RATIONALS = (["0", "1/2", "-1"], ["1/0", "nan", "1e999999999", "x"])
+RATIONAL_LISTS = (["1,2", "1/2,-1"], ["1,1/0", "nan", "1e999999999,1", ","])
+PRESETS = (
+    ["gaussian:c=0,v=1", "poisson:lambda=3/2,alpha=2/3"],
+    ["evenpoisson:odd=1/0", "custom:1,nan", "gaussian:c=1e999999999,v=1", "poisson:lambda=1"],
+)
+
+
+@st.composite
+def declared_argvs(draw, commands, matrix_paths):
+    """An argv of one of the commands, ((group, command), flag actions), its
+    flags in either spelling and any order.  Each flag is mostly given
+    (--matrix 0 to 3 times), mostly with a good value of its declared kind
+    and otherwise with a hostile one."""
+    (group, command), actions = draw(st.sampled_from(commands))
+    pieces = []
+    for action in actions:
+        flag = action.option_strings[0]
+        if action.choices:
+            pool = (list(action.choices), ["xml"])
+        elif action.type is int:
+            pool = INTS
+        elif action.type is cli._int_list:
+            pool = N_LISTS
+        elif flag == "--matrix":
+            pool = matrix_paths
+        elif flag == "--dist":
+            pool = PRESETS
+        elif flag in ("--a", "--b"):
+            pool = RATIONALS
+        else:
+            pool = RATIONAL_LISTS
+        if flag == "--matrix":
+            count = draw(st.sampled_from([1, 2, 0, 3]))
+        else:
+            count = int(draw(st.integers(0, 7)) < 7)
+        for _ in range(count):
+            good, hostile = pool
+            value = draw(st.sampled_from(hostile if draw(st.integers(0, 3)) == 3 else good))
+            pieces.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    return [group, command, *[t for piece in draw(st.permutations(pieces)) for t in piece]]
+
+
+def test_generated_argvs_keep_the_cli_contract(tmp_path):
+    # every argv ends in exit code 0, 1 or 2 with no traceback, and a
+    # failure prints exactly one error: line
+    good = tmp_path / "good.json"
+    save_matrix(HermitianMatrix([[1, F(-1, 2)], [F(-1, 2), 0]]), good)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    paths = ([str(good)], [str(deep), str(tmp_path / "missing.json")])
+    commands = [
+        ((group, command), [a for a in parser._actions if a.dest != "help"])
+        for group, group_parser in _subparsers(_build_parser([])).items()
+        for command, parser in _subparsers(group_parser).items()
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(declared_argvs(commands, paths))
+    @example(["matrix", "check", "--matrix", str(deep)])
+    @example(["limit", "tangent", "--a", "0", "--b", "1", "--order", "2", "--n", "5,0"])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == (code != 0), (argv, err.getvalue())
+
+    check()

@@ -21,6 +21,8 @@ from bqf.cumulants import (
     element_cumulants,
     even_poisson_sequence,
     gaussian_sequence,
+    mixed_cumulant,
+    parse_distribution,
     poisson_sequence,
 )
 from bqf.errors import DomainError, HermitianError, OrderShortfallError
@@ -686,6 +688,29 @@ def test_independence_check_rank_one_kernel_pair_n4():
     for kmax in (4, 8, 12, 16):
         assert independence_check(RANKONE4_A, RANKONE4_B, kmax=kmax).independent
     assert independence_check(RANKONE4_B, RANKONE4_A, kmax=16).independent
+
+
+def test_mixed_cumulant_of_the_independence_pairs():
+    # K_2(Q_A, Q_B) of the quadratic forms x*Ax and x*Bx: both Gaussian
+    # presets make it vanish for the scanned pairs, the Poisson preset not,
+    # so the scan reads independence only under a premise on the family
+    def form(a):
+        return NCPolynomial(
+            [(real_entry(a, j, k), (j + 1, k + 1)) for j in range(a.n) for k in range(a.n)]
+        )
+
+    presets = {
+        "gaussian:c=0,v=1": (0, 0),
+        "gaussian:c=1,v=1": (0, 0),
+        "poisson:lambda=3/2,alpha=2/3": (F(2720, 3), F(3712, 9)),
+    }
+    for preset, want in presets.items():
+        seq = parse_distribution(preset, 4)
+        got = tuple(
+            mixed_cumulant([form(a), form(b)], constant_family(seq, a.n))
+            for a, b in ((COUPLED3_A, COUPLED3_B), (RANKONE4_A, RANKONE4_B))
+        )
+        assert got == want
 
 
 def test_independence_check_block_pair():
