@@ -27,6 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError
 from .rationals import (
+    DENOMINATOR_MAX_BITS,  # rational lists and matrix files, in check_denominators
     RATIONAL_MAX_BITS,  # every rational read from outside, in parse_rational
     format_rational,
     parse_rational,
@@ -223,10 +224,10 @@ def _emit_table(args, payload: dict, key: str, header, rows, skip: int = 0):
 def _int_list(text: str) -> list:
     try:
         values = [int(piece) for piece in split_list(text)]
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"not a list of positive integers: {text!r}")
     return values

@@ -7,11 +7,12 @@ block of the moment formula gives one recursion,
 
 For one variable it is the convolution m_n = sum_k K_k m_{n-k}, which
 moments_from_cumulants runs forward.  One prefix solve, _prefix_cumulants,
-reads it for the cumulants (cumulants_from_moments, mixed_cumulant), and
-one evaluator, _word_moments, for the word moments of an independent family
-(word_moment, polynomial_moment, the polynomial oracle element_cumulants,
-mixed_cumulant).  Grouped product cumulants, the scalar shift rule and the
-cumulant presets the command line accepts live here too.
+reads it for the cumulants (cumulants_from_moments, mixed_cumulant), one
+evaluator, _word_moments, for the word moments of an independent family
+(word_moment, polynomial_moment), and one capped expansion, _running_moments,
+for the moments of polynomial products (element_cumulants, mixed_cumulant).
+Grouped product cumulants, the scalar shift rule and the cumulant presets
+the command line accepts live here too.
 """
 
 import itertools
@@ -216,60 +217,24 @@ def polynomial_moment(poly: NCPolynomial, family) -> Fraction:
     return sum((c * phi(w) for c, w in poly.terms), Fraction(0))
 
 
-def element_cumulants(
-    poly: NCPolynomial,
-    family,
-    order: int,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> CumulantSequence:
-    """Cumulants K_1..K_order of a polynomial element, via its moments.
+def _running_moments(factors, phi, term_cap, cap_passed) -> list:
+    """phi of the running products F_1, F_1 F_2, ..., F_1 ... F_m of factors
+    given as (coefficient, word) terms, expanded word by word.
 
-    Expands poly^m term by term (words concatenate, scalars collapse) and
-    converts the resulting moments.  Each power's expansion is capped at
-    term_cap distinct words, counted while the power is built and before
-    words whose coefficients cancel to zero are dropped; the first word
-    past the cap raises ExpansionCapError naming the cap.  Power m + 1 is
-    expanded before the word moments of power m are evaluated, so runaway
-    inputs fail before they pay for them.  When all t terms have one length
-    L, power m holds exactly t^m distinct words and none cancels, so the
-    same error is raised before any expansion, once the family shows that
-    no word moment below that power can fail first.
-
-    The word moments share one word-moment evaluator, and so their
-    suffixes; a word that word_moment refuses raises the same error.
+    Each product is capped at term_cap distinct words, counted while it is
+    built and before words whose coefficients cancel to zero are dropped;
+    the first word past the cap of product k raises cap_passed(k).  Product
+    k + 1 is expanded before the word moments of product k are evaluated,
+    so runaway inputs fail before they pay for them.
     """
-    if order < 1:
-        raise DomainError(f"cumulant order must be positive, got {order}")
-    base = poly.terms
-
-    def cap_passed(power):
-        return ExpansionCapError(
-            f"power {power} expansion passed the cap of {term_cap} terms"
-        )
-
-    if len({len(w) for _, w in base}) == 1:
-        length = len(base[0][1])
-        power = next(
-            (m for m in range(1, order + 1) if len(base) ** m > term_cap), None
-        )
-        if power is not None and all(
-            v in family and family[v].order >= length * power
-            for _, w in base
-            for v in w
-        ):
-            raise cap_passed(power)
-
-    phi = _word_moments(family)
-
-    def moment(words):
-        return sum((c * phi(w) for w, c in words.items()), Fraction(0))
-
+    # integral coefficients multiply as ints, several times faster than as Fractions
+    factors = [[(c.numerator if c.denominator == 1 else c, w) for c, w in f] for f in factors]
     moments = []
-    current = {(): Fraction(1)}
-    for power in range(1, order + 1):
+    current = {(): 1}
+    for k, terms in enumerate([*factors, ()], 1):  # the last pass evaluates F_1...F_m
         nxt = {}
         for w1, c1 in current.items():
-            for c2, w2 in base:
+            for c2, w2 in terms:
                 w = w1 + w2
                 acc = nxt.get(w)
                 if acc is not None:
@@ -277,30 +242,65 @@ def element_cumulants(
                 elif len(nxt) < term_cap:
                     nxt[w] = c1 * c2
                 else:
-                    raise cap_passed(power)
-        if power > 1:
-            moments.append(moment(current))
+                    raise cap_passed(k)
+        if k > 1:
+            moments.append(sum((c * phi(w) for w, c in current.items()), Fraction(0)))
         current = {w: c for w, c in nxt.items() if c}
-    moments.append(moment(current))
+    return moments
+
+
+def element_cumulants(
+    poly: NCPolynomial, family, order: int, term_cap: int = DEFAULT_TERM_CAP
+) -> CumulantSequence:
+    """Cumulants K_1..K_order of a polynomial element, from the moments of
+    its running powers, each capped at term_cap distinct words.
+
+    When all t terms have one length L, power m holds exactly t^m distinct
+    words and none cancels, so the cap's ExpansionCapError is raised before
+    any expansion once the family shows that no word moment below that
+    power can fail first.  A word that word_moment refuses raises its error.
+    """
+    if order < 1:
+        raise DomainError(f"cumulant order must be positive, got {order}")
+    base = poly.terms
+
+    def cap_passed(power):
+        return ExpansionCapError(f"power {power} expansion passed the cap of {term_cap} terms")
+
+    if len({len(w) for _, w in base}) == 1:
+        length = len(base[0][1])
+        power = next((m for m in range(1, order + 1) if len(base) ** m > term_cap), None)
+        if power is not None and all(
+            v in family and family[v].order >= length * power
+            for _, w in base
+            for v in w
+        ):
+            raise cap_passed(power)
+    moments = _running_moments([base] * order, _word_moments(family), term_cap, cap_passed)
     return cumulants_from_moments(moments, order)
 
 
 def mixed_cumulant(args, family) -> Fraction:
-    """The multilinear cumulant K_n(P_1, ..., P_n) of polynomial arguments,
-    by the prefix solve over the moments of the contiguous sub-products
-    P_{i+1} ... P_j, whose words share one word-moment evaluator."""
-    args = [_coerce_poly(a) for a in args]
+    """The multilinear cumulant K_n(P_1, ..., P_n) of polynomial or scalar
+    arguments, by the prefix solve over the moments of the sub-products
+    P_{i+1} ... P_j: the running products of each suffix, capped at
+    DEFAULT_TERM_CAP words, with one word-moment evaluator for them all."""
     n = len(args)
     if n < 1:
         raise DomainError("mixed cumulant needs at least one argument")
+    terms = [a.terms if isinstance(a, NCPolynomial) else ((Fraction(a), ()),) for a in args]
     phi = _word_moments(family)
-    seg = {}  # phi of every contiguous sub-product, half-open indices [i, j)
-    for i in range(n):
-        acc = NCPolynomial.scalar(1)
-        for j in range(i + 1, n + 1):
-            acc = acc * args[j - 1]
-            seg[i, j] = sum((c * phi(w) for c, w in acc.terms), Fraction(0))
-    return _prefix_cumulants(lambda i, j: seg[i, j], n)[-1]
+
+    def cap_passed(i):
+        return lambda k: ExpansionCapError(
+            f"the product of arguments {i + 1} to {i + k} passed the cap of "
+            f"{DEFAULT_TERM_CAP} terms"
+        )
+
+    seg = [
+        _running_moments(terms[i:], phi, DEFAULT_TERM_CAP, cap_passed(i)) for i in range(n)
+    ]
+    return _prefix_cumulants(lambda i, j: seg[i][j - i - 1], n)[-1]
 
 
 def product_cumulant(grouping, word, family) -> Fraction:
@@ -412,8 +412,6 @@ def _parse_kv(body: str, keys) -> dict:
     out = {}
     for piece in body.split(","):
         piece = piece.strip()
-        if not piece:
-            continue
         key, eq, val = piece.partition("=")
         key = key.strip()
         if not eq or key not in keys:

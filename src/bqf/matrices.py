@@ -41,7 +41,7 @@ from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
 from .partitions import closure_structure, enumerate_interval, lift_matching
-from .rationals import format_rational, parse_rational
+from .rationals import check_denominators, format_rational, parse_rational
 from .series import FormalSeries
 
 
@@ -672,6 +672,8 @@ def matrix_from_json_obj(obj) -> HermitianMatrix:
                 )
             parsed.append(GaussianRational(parse_rational(pair[0]), parse_rational(pair[1])))
         rows.append(parsed)
+    # the matrix is stored over the lcm of the denominators: bound it first
+    check_denominators((x for row in rows for e in row for x in e), "matrix entries")
     return HermitianMatrix(rows)
 
 

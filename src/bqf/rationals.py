@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 
@@ -11,10 +12,19 @@ from .errors import DomainError
 # notation makes short text large (1e100 is a 333-bit integer), and the
 # exact results grow with these bits: stats sample-variance --n 1000000
 # --order 1000 with a Poisson preset of 20-, 24- and 32-bit values takes
-# 7.1, 8.2 and 14.6 s (2-core x86-64 host).  A list whose values have
-# distinct denominators multiplies them, so stats symmetrized and
-# cumulants convert at their count bounds can still run for minutes.
+# 7.1, 8.2 and 14.6 s (2-core x86-64 host).
 RATIONAL_MAX_BITS = 32
+
+# Bound on the bits of the lcm of the denominators of a rational list (the
+# flags --weights, --shifts, --moments and --cumulants, and the list
+# presets) and of a matrix file's entries, over which the file's matrix is
+# stored: values with distinct denominators multiply them.  32 bits is the
+# least bound that refuses no single value parse_rational accepts.  Slowest
+# at it: stats symmetrized with 16 weights at --order 1000 21 s (34 MB of
+# JSON), cumulants convert --cumulants with 400 values 16 s and matrix
+# h-series --order 512 of a 64 x 64 file 9.8 s; at 64 bits they take 28,
+# 32 and 8.6 s, and h-series takes 24 s at 128 bits (2-core x86-64 host).
+DENOMINATOR_MAX_BITS = 32
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,14 +61,28 @@ def format_rational(value) -> str:
 
 
 def split_list(text: str) -> list[str]:
-    """The non-empty pieces of a comma-separated list, stripped."""
+    """The stripped pieces of a comma-separated list, none of them empty."""
     pieces = [piece.strip() for piece in str(text).split(",")]
-    return [piece for piece in pieces if piece]
+    if not all(pieces):
+        raise DomainError(f"the list {text!r} has an empty entry")
+    return pieces
+
+
+def check_denominators(values, what: str):
+    """Refuse values whose denominators have an lcm past DENOMINATOR_MAX_BITS
+    bits, as soon as one takes it there."""
+    den = 1
+    for value in values:
+        den = lcm(den, value.denominator)
+        if den.bit_length() > DENOMINATOR_MAX_BITS:
+            raise DomainError(
+                f"the {what} need a common denominator of more than "
+                f"{DENOMINATOR_MAX_BITS} bits (at {format_rational(value)})"
+            )
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
     """Parse a comma-separated rational list like "1,-1/2,0"."""
-    pieces = split_list(text)
-    if not pieces:
-        raise DomainError(f"empty rational list: {text!r}")
-    return [parse_rational(piece) for piece in pieces]
+    values = [parse_rational(piece) for piece in split_list(text)]
+    check_denominators(values, "list values")
+    return values

@@ -3,6 +3,7 @@ deterministic bytes, and the documented exit codes."""
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -53,7 +54,13 @@ from bqf.matrices import (
     matrix_scale,
     save_matrix,
 )
-from bqf.rationals import RATIONAL_MAX_BITS, format_rational, parse_rational
+from bqf.rationals import (
+    DENOMINATOR_MAX_BITS,
+    RATIONAL_MAX_BITS,
+    check_denominators,
+    format_rational,
+    parse_rational,
+)
 
 COUPLED3_A = [[-15, 6, 1], [6, 9, -8], [1, -8, 5]]
 COUPLED3_B = [[-1, 16, 60], [16, 44, 90], [60, 90, 75]]
@@ -732,6 +739,93 @@ def test_hostile_input_ends_in_one_error_line(
     assert elapsed < 1 or not refused_up_front
 
 
+def distinct_denominators(count):
+    """count rationals (2^32 - 3 - 2i)/(2^32 - 1 - 2i): each part fits in 32
+    bits, but the lcm of the denominators grows by about 32 bits a value."""
+    return [format_rational(F(2**32 - 3 - 2 * i, 2**32 - 1 - 2 * i)) for i in range(count)]
+
+
+def test_check_denominators_bounds_the_lcm():
+    top = 2**DENOMINATOR_MAX_BITS - 1
+    check_denominators([F(1, top), F(5, top)], "values")
+    check_denominators([F(1, 2), F(1, 2**31 - 1)], "values")  # lcm 2^32 - 2
+    bound = f"^the values need a common denominator of more than {DENOMINATOR_MAX_BITS} bits"
+    with pytest.raises(DomainError, match=bound + r" \(at 1/2147483647\)$"):
+        check_denominators([F(1, 4), F(1, 2**31 - 1), F(1, 3)], "values")
+    with pytest.raises(DomainError, match=bound + f" \\(at 1/{top + 1}\\)$"):
+        check_denominators([F(1, top + 1)], "values")
+
+
+def test_distinct_denominators_are_refused_before_any_work(capsys, tmp_path):
+    # a 64 x 64 file whose 2080 entries each have their own 32-bit
+    # denominator (a den of about 66 000 bits), and 16 such weights: each
+    # ran past 150 s, and building that matrix alone takes seconds
+    n = MATRIX_MAX_N
+    values = iter(distinct_denominators(n * (n + 1) // 2))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = [next(values), "0"]
+    path = tmp_path / "distinct.json"
+    path.write_text(json.dumps({"n": n, "entries": rows}))
+    weights = ",".join(f"{w},-{w}" for w in distinct_denominators(8))
+    cases = [
+        (["matrix", "h-series", "--matrix", str(path), "--order", "512"], "matrix entries"),
+        (["cumulants", "qf", "--matrix", str(path), "--dist", "gaussian:c=1,v=1",
+          "--order", "64"], "matrix entries"),
+        (["stats", "symmetrized", "--weights", weights, "--order", "1000",
+          "--dist", "poisson:lambda=3/2,alpha=2/3"], "list values"),
+        (["cumulants", "convert", "--cumulants", ",".join(distinct_denominators(400))],
+         "list values"),
+        (["stats", "shifted-sos", "--shifts=" + weights, *GAUSS], "list values"),
+    ]
+    for argv, what in cases:
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the {what} need a common denominator of more than "
+            f"{DENOMINATOR_MAX_BITS} bits (at 4294967291/4294967293)\n"
+        )
+    # two 16-bit denominators stay inside the bound
+    weights = "1/65536,-1/65536,1/65535,-1/65535"
+    assert invoke(capsys, ["stats", "symmetrized", "--weights", weights, *GAUSS])[0] == 0
+
+
+def test_empty_list_entries_are_refused(capsys):
+    # an empty piece of a list is refused like the flag's other malformed
+    # values, not dropped: a usage error for --n, a domain error otherwise
+    cases = [
+        (["approx", "zigzag", "--k", "3"], "--n", ",5,", 2),
+        (["limit", "tangent", "--a", "0", "--b", "1", "--order", "2"], "--n", "5,", 2),
+        (["stats", "symmetrized", *GAUSS], "--weights", "1,,-1", 1),
+        (["stats", "shifted-sos", *GAUSS], "--shifts", ",3", 1),
+        (["cumulants", "convert"], "--moments", "1,2,", 1),
+        (["cumulants", "convert"], "--cumulants", ",", 1),
+        (["stats", "sample-variance", "--n", "3", "--order", "2"], "--dist", "custom:1,,2", 1),
+    ]
+    for head, flag, value, want in cases:
+        for spelling in ([flag, value], [f"{flag}={value}"]):
+            argv = head + spelling
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out) == (want, ""), argv
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and errors[0].endswith(
+                f"the list {value.partition(':')[2] or value!r} has an empty entry"
+            ), argv
+    # a key=value preset refuses an empty parameter too
+    for spelling in (["--dist", "gaussian:c=1,,v=2"], ["--dist=gaussian:c=1,,v=2"]):
+        argv = ["stats", "sample-variance", "--n", "3", "--order", "2", *spelling]
+        assert invoke(capsys, argv) == (
+            1, "", "error: bad preset parameter '', expected one of ['c', 'v']\n"
+        )
+
+
 def test_exponential_arguments_are_bounded_up_front(capsys, matrix_files, tmp_path):
     # each bound is probed at limit + 1 only; it refuses before any work.
     # The Krylov lengths are bounded too: I - P is independent of itself,
@@ -1308,9 +1402,12 @@ def test_parser_declares_only_the_named_command(capsys, monkeypatch):
 # no order, size or count above 3, so an argv that passes every check
 # finishes in milliseconds.
 INTS = (["1", "2", "3"], ["-1", "0", "x", "1/0", "nan", "1e999999999"])
-N_LISTS = (["3", "2,3"], ["0", "-1", "5,0", "1000000,-1", ",", "3,x"])
+N_LISTS = (["3", "2,3"], ["0", "-1", "5,0", "1000000,-1", ",", "3,x", "2,,3"])
 RATIONALS = (["0", "1/2", "-1"], ["1/0", "nan", "1e999999999", "x"])
-RATIONAL_LISTS = (["1,2", "1/2,-1"], ["1,1/0", "nan", "1e999999999,1", ","])
+RATIONAL_LISTS = (
+    ["1,2", "1/2,-1"],
+    ["1,1/0", "nan", "1e999999999,1", ",", "1,2,", ",".join(distinct_denominators(2))],
+)
 PRESETS = (
     ["gaussian:c=0,v=1", "poisson:lambda=3/2,alpha=2/3"],
     ["evenpoisson:odd=1/0", "custom:1,nan", "gaussian:c=1e999999999,v=1", "poisson:lambda=1"],
@@ -1352,34 +1449,113 @@ def declared_argvs(draw, commands, matrix_paths):
     return [group, command, *[t for piece in draw(st.permutations(pieces)) for t in piece]]
 
 
+def _indexed(payload, *keys, start=1):
+    return [[i, *cells] for i, cells in enumerate(zip(*(payload[k] for k in keys)), start)]
+
+
+def _blocks(blocks):
+    return "".join("(" + ",".join(map(str, block)) + ")" for block in blocks)
+
+
+# (group, command) -> the rows of its csv and plain tables, read from its
+# JSON payload
+JSON_TABLES = {
+    ("partitions", "enumerate"): lambda p: [
+        [";".join(map(str, q["cuts"])), _blocks(q["blocks"])] for q in p["partitions"]
+    ],
+    ("cumulants", "qf"): lambda p: _indexed(p, "cumulants"),
+    ("cumulants", "oracle-check"): lambda p: _indexed(p, "engine", "oracle"),
+    ("cumulants", "convert"): lambda p: _indexed(p, "moments", "cumulants"),
+    ("matrix", "check"): lambda p: list(map(list, p.items())),
+    ("matrix", "independence"): lambda p: list(map(list, p.items())),
+    ("matrix", "h-series"): lambda p: _indexed(p, "coefficients", start=0),
+    ("stats", "sample-variance"): lambda p: _indexed(p, "cumulants"),
+    ("stats", "shifted-sos"): lambda p: _indexed(p, "cumulants"),
+    ("stats", "symmetrized"): lambda p: _indexed(p, "cumulants"),
+    ("limit", "tangent"): lambda p: [list(row.values()) for row in p["rows"]],
+    **{
+        ("approx", kind): lambda p: [[p["kind"], p["k"], *row.values()] for row in p["rows"]]
+        for kind in ("zeta", "tangent", "zigzag")
+    },
+    ("measure", "atoms"): lambda p: [list(row.values()) for row in p["atoms"]],
+    ("measure", "levy"): lambda p: [list(row.values()) for row in p["atoms"]],
+    ("measure", "moments"): lambda p: [list(row.values()) for row in p["rows"]],
+}
+
+
+def _json_cell(value) -> str:
+    """A JSON scalar as the csv and plain tables write it."""
+    if isinstance(value, dict):  # the float wrapper
+        return value["value"]
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+# every refusal of a generated argv returns within this many seconds
+REFUSAL_SECONDS = 1
+
+
 def test_generated_argvs_keep_the_cli_contract(tmp_path):
     # every argv ends in exit code 0, 1 or 2 with no traceback, and a
-    # failure prints exactly one error: line
+    # failure prints exactly one error: line within REFUSAL_SECONDS; an
+    # argv that succeeds holds the same cells in its json, csv and plain
+    # tables
     good = tmp_path / "good.json"
     save_matrix(HermitianMatrix([[1, F(-1, 2)], [F(-1, 2), 0]]), good)
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON)
-    paths = ([str(good)], [str(deep), str(tmp_path / "missing.json")])
+    distinct = tmp_path / "distinct.json"
+    x, y = distinct_denominators(2)
+    distinct.write_text(json.dumps({"n": 2, "entries": [[[x, "0"], ["0", "0"]],
+                                                        [["0", "0"], [y, "0"]]]}))
+    paths = ([str(good)], [str(deep), str(tmp_path / "missing.json"), str(distinct)])
     commands = [
         ((group, command), [a for a in parser._actions if a.dest != "help"])
         for group, group_parser in _subparsers(_build_parser([])).items()
         for command, parser in _subparsers(group_parser).items()
     ]
 
-    @settings(max_examples=150, deadline=None)
-    @given(declared_argvs(commands, paths))
-    @example(["matrix", "check", "--matrix", str(deep)])
-    @example(["limit", "tangent", "--a", "0", "--b", "1", "--order", "2", "--n", "5,0"])
-    def check(argv):
+    def outcome(argv):
         out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = run(argv)
             except SystemExit as exc:
                 code = exc.code
+        return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+    @settings(max_examples=150, deadline=None)
+    @given(declared_argvs(commands, paths))
+    @example(["matrix", "check", "--matrix", str(deep)])
+    @example(["limit", "tangent", "--a", "0", "--b", "1", "--order", "2", "--n", "5,0"])
+    # one success for each table the generated argvs reach least often
+    @example(["cumulants", "qf", "--matrix", str(good), "--dist", PRESETS[0][1], "--order", "3"])
+    @example(["cumulants", "oracle-check", "--dist", PRESETS[0][1], "--order", "3"])
+    @example(["cumulants", "convert", "--cumulants", "1/2,-1", "--order", "1"])
+    @example(["matrix", "independence", "--matrix", str(good), "--matrix", str(good)])
+    @example(["matrix", "h-series", "--matrix", str(good), "--order", "3"])
+    @example(["stats", "sample-variance", "--n", "3", "--dist", PRESETS[0][0], "--order", "3"])
+    @example(["stats", "symmetrized", "--weights", "1/2,-1/2", "--dist", PRESETS[0][1],
+              "--order", "3"])
+    @example(["approx", "tangent", "--k", "2", "--n", "2,3"])
+    def check(argv):
+        code, _, err, elapsed = outcome(argv)
         assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue()
-        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-        assert len(errors) == (code != 0), (argv, err.getvalue())
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == (code != 0), (argv, err)
+        if code:
+            assert elapsed < REFUSAL_SECONDS, argv
+            return
+        # the last --format wins
+        tables = {fmt: outcome(argv + ["--format", fmt])[1] for fmt in ("json", "csv", "plain")}
+        want = [list(map(_json_cell, row)) for row in
+                JSON_TABLES[tuple(argv[:2])](json.loads(tables["json"]))]
+        csv_rows = list(csv.reader(io.StringIO(tables["csv"])))
+        plain_rows = [line.split("  ") for line in tables["plain"].splitlines()]
+        assert csv_rows[0] == plain_rows[0], argv
+        assert csv_rows[1:] == plain_rows[1:] == want, argv
 
     check()

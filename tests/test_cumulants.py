@@ -2,6 +2,7 @@
 oracle, mixed and product cumulants, shifts, presets."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -360,6 +361,53 @@ def test_mixed_cumulant_matches_lattice_sum_property(data, nvars, nargs):
     terms = st.lists(st.tuples(SMALL_FRACTIONS, words), min_size=1, max_size=2)
     args = data.draw(st.lists(terms.map(NCPolynomial), min_size=nargs, max_size=nargs))
     assert mixed_cumulant(args, family) == lattice_mixed_cumulant(args, family)
+
+
+# one preset of each kind, each with the 8 cumulants a run of 4 two-letter
+# words can reach
+PRESET_FAMILIES = [
+    constant_family(parse_distribution(preset, 8), 2)
+    for preset in (
+        "gaussian:c=1/2,v=2",
+        "poisson:lambda=3/2,alpha=2/3",
+        "evenpoisson:odd=1/3,-1",
+        "custom:1,-1/2,2,1/3,-1,3/2,0,2",
+    )
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(SMALL_FRACTIONS, st.lists(st.sampled_from([1, 2]), max_size=2)),
+        max_size=3,
+    ),
+    m=st.integers(min_value=1, max_value=4),
+    family=st.sampled_from(PRESET_FAMILIES),
+)
+def test_mixed_cumulant_of_equal_arguments_is_the_element_cumulant_property(
+    terms, m, family
+):
+    # multilinearity: K_m(P, ..., P) is the m-th cumulant of P itself
+    poly = NCPolynomial(terms)
+    assert mixed_cumulant([poly] * m, family) == element_cumulants(poly, family, m).k(m)
+
+
+def test_mixed_cumulant_meets_the_expansion_cap():
+    # (X_1 + ... + X_12)^5 has 12^5 = 248 832 words, past the cap; the
+    # error comes while the fifth product is expanded, before its moments
+    total = NCPolynomial([(1, (v,)) for v in range(1, 13)])
+    family = constant_family(CumulantSequence([F(1)] * 5), 12)
+    start = time.perf_counter()
+    with pytest.raises(
+        ExpansionCapError,
+        match=f"^the product of arguments 1 to 5 passed the cap of {DEFAULT_TERM_CAP} terms$",
+    ):
+        mixed_cumulant([total] * 5, family)
+    assert time.perf_counter() - start < 1
+    # three factors stay under the cap; Boolean cumulants of an independent
+    # sum add, so K_3 of the sum is 12 times K_3 = 1
+    assert mixed_cumulant([total] * 3, family) == 12
 
 
 def test_product_cumulant_single_group():
