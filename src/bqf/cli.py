@@ -39,8 +39,10 @@ from .rationals import (
 # count= for the length of a list) and is checked before any work starts
 # or any file is read.  Bounds on arguments whose cost grows
 # exponentially: enumerate lists 2^(n-1) partitions, and the oracle
-# expands the quadratic form's powers word by word (shifted-sos too).  A
-# quadratic form's power m has nnz(A)^m words, so oracle-check meets the
+# expands the quadratic form's powers word by word.  shifted-sos shares
+# oracle-check's --order bound but never meets the cap: it expands one
+# variable per shift, whose power m has at most m + 1 words.  A quadratic
+# form's power m has nnz(A)^m words, so oracle-check meets the
 # expansion cap before expanding anything: with a Poisson preset at
 # --order 12, a sampled 8 x 8 matrix at power 3, a sampled 4 x 4 at power
 # 5 and the sampled 2 x 2 matrix of --seed 0, which has a zero entry, at
@@ -65,10 +67,10 @@ MATRIX_MAX_N = 64
 # Bounds on the series orders and atom counts: exact rationals grow with
 # the order, and every atom pair costs a root and its share of one JSON
 # document in memory.  Most take at most a few seconds at their limit:
-# measure levy --terms 20000 and measure atoms --pairs 20000 write 7.8 MB
-# of JSON in about 0.45 s with a 49 MB peak RSS.  approx zeta|tangent --k 64
-# takes 6-12 s per n (2-core x86-64 host), nearly all of it in compose
-# inside limit_mgf_series.
+# measure levy --terms 20000 and measure atoms --pairs 20000 write 7.85 MB
+# of JSON in about 0.23 s a child, with a peak RSS of 61 MB and 54 MB.
+# approx zeta|tangent --k 64 takes 6-12 s per n (2-core x86-64 host),
+# nearly all of it in compose inside limit_mgf_series.
 LIMIT_MAX_ORDER = 64
 APPROX_MAX_K = 64
 STATS_MAX_ORDER = 1000
@@ -85,9 +87,9 @@ MODEL_MAX_COUNT = 16
 # take 1.5 s (6.7 MB of JSON), 50 take 29 s in the library alone.  The
 # moment-cumulant conversion is about cubic in the length: 400 values with
 # distinct denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
-# Each shift of stats shifted-sos adds a variable to the polynomial
-# oracle: 64 shifts meet its expansion cap at every --order >= 3 in about
-# 0.7 s a child.
+# Each shift of stats shifted-sos costs one one-variable oracle call: 64
+# shifts at --order 12 take 0.1-0.3 s in-process, 0.8 s with 32-bit
+# rationals in a Poisson preset and in every shift.
 STATS_MAX_WEIGHTS = 16
 STATS_MAX_SHIFTS = 64
 CONVERT_MAX_VALUES = 400

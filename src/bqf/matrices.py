@@ -546,7 +546,13 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
 
 
 def mixed_qf_cumulant(mats) -> object:
-    """The length-r mixed quadratic-form cumulant Tr(J A_1 A_2 ... A_r)."""
+    """The length-r mixed quadratic-form cumulant Tr(J A_1 A_2 ... A_r).
+
+    Under the Gaussian preset gaussian:c,v with r >= 2 it gives the mixed
+    Boolean cumulant K_r(Q_{A_1}, ..., Q_{A_r}) = c^2 v^(r-1) Tr(J A_1 ...
+    A_r) of the real quadratic forms: with K_{>=3} = 0 only one interval
+    partition survives, singleton ends and one pair across each boundary.
+    """
     mats = list(mats)
     if not mats:
         raise DomainError("need at least one matrix")

@@ -5,7 +5,9 @@ quadratic form of I - P_n, and the symmetrized-squares statistic that of
 c (I - P_n) for a constant c of its weights, so both take all orders from
 _centred_cumulants, which cross-checks itself against one pass of the
 generic quadratic-form engine for n <= 4 (orders <= 4).  The shifted sum
-of squares is evaluated purely by the polynomial oracle.
+of squares is s + sum_i Y_i with Boolean independent Y_i = X_i^2 + 2 a_i X_i,
+so its cumulants add over one-variable oracle calls and take the scalar s
+by the shift rule.
 """
 
 import math
@@ -16,6 +18,7 @@ from .cumulants import (
     CumulantSequence,
     NCPolynomial,
     element_cumulants,
+    shifted_cumulants,
 )
 from .errors import DomainError
 from .matrices import (
@@ -133,19 +136,18 @@ def sample_variance_cumulant(n: int, seq: CumulantSequence, r: int):
 
 
 def shifted_sos_cumulants(shifts: ShiftVector, family, order: int) -> list:
-    """K_1, ..., K_order of sum_i (X_i + a_i)^2, by the polynomial oracle.
+    """K_1, ..., K_order of sum_i (X_i + a_i)^2 = s + sum_i Y_i.
 
-    Builds sum_i (X_i^2 + 2 a_i X_i) plus the scalar sum of squares as
-    one NCPolynomial and feeds it through one element_cumulants call,
-    which expands each power once for all orders; no closed form is
-    assumed here.
+    No unit enters Y_i = X_i^2 + 2 a_i X_i, so the Y_i are Boolean
+    independent and their cumulants add; each comes from element_cumulants
+    of its one-variable polynomial, whose power m has at most m + 1 words,
+    and the sum of squares s enters by shifted_cumulants.
     """
-    if order < 1:
-        raise DomainError(f"cumulant order must be positive, got {order}")
-    terms = [(shifts.s, ())]
-    for i, a in enumerate(shifts.shifts, start=1):
-        terms += [(1, (i, i)), (2 * a, (i,))]
-    return list(element_cumulants(NCPolynomial(terms), family, order).values)
+    ks = [
+        element_cumulants(NCPolynomial([(1, (i, i)), (2 * a, (i,))]), family, order).values
+        for i, a in enumerate(shifts.shifts, start=1)
+    ]
+    return list(shifted_cumulants(CumulantSequence(map(sum, zip(*ks))), shifts.s, order).values)
 
 
 def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):

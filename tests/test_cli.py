@@ -61,6 +61,7 @@ from bqf.rationals import (
     format_rational,
     parse_rational,
 )
+from bqf.stats import kagan_closed_form
 
 COUPLED3_A = [[-15, 6, 1], [6, 9, -8], [1, -8, 5]]
 COUPLED3_B = [[-1, 16, 60], [16, 44, 90], [60, 90, 75]]
@@ -446,15 +447,32 @@ def test_stats_shifted_sos_invariance(capsys):
     assert outputs[0] == outputs[1] == ["28", "100", "2600"]
 
 
-def test_stats_shifted_sos_expansion_cap_is_an_error(capsys):
-    # twelve shifts pass the polynomial oracle's term cap while power 4 is
-    # being expanded; the run stops there with an error line, not a traceback
+def test_stats_shifted_sos_twelve_shifts_at_order_four(capsys):
+    # 13^4 words of the joint polynomial would pass the term cap, but each
+    # X_i^2 + 2 X_i is expanded alone; K_1 = n + s and then, for this
+    # centred Gaussian family, the shift-only closed form in s = 12
     shifts = ",".join(["1"] * 12)
     argv = ["stats", "shifted-sos", f"--shifts={shifts}", "--dist", "gaussian:c=0,v=1"]
-    code, out, err = invoke(capsys, argv + ["--order", "4"])
-    assert code == 1
-    assert out == ""
-    assert err.splitlines()[-1].startswith("error: power 4 expansion passed the cap")
+    code, payload = invoke_json(capsys, argv + ["--order", "4"])
+    assert code == 0
+    assert payload["cumulants"] == ["24", "48", "624", "8112"]
+    assert payload["cumulants"][1:] == [str(kagan_closed_form(12, r)) for r in (2, 3, 4)]
+
+
+def test_stats_shifted_sos_at_both_bounds(capsys):
+    # 64 distinct shifts at the top --order, within a second in-process
+    shifts = [F(i, 7) for i in range(-31, STATS_MAX_SHIFTS - 31)]
+    s = sum(a * a for a in shifts)
+    argv = ["stats", "shifted-sos", "--shifts=" + ",".join(map(format_rational, shifts))]
+    argv += ["--dist", "gaussian:c=0,v=1", "--order", str(ORACLE_CHECK_MAX_ORDER)]
+    start = time.perf_counter()
+    code, payload = invoke_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    want = [STATS_MAX_SHIFTS + s] + [
+        kagan_closed_form(s, r) for r in range(2, ORACLE_CHECK_MAX_ORDER + 1)
+    ]
+    assert payload["cumulants"] == list(map(format_rational, want))
 
 
 def test_stats_shifted_sos_shift_count_is_bounded(capsys):

@@ -31,6 +31,7 @@ from bqf.stats import (
     sample_variance_cumulant,
     sample_variance_cumulants,
     shifted_sos_cumulant,
+    shifted_sos_cumulants,
     symmetrized_square_cumulant,
     symmetrized_square_cumulants,
 )
@@ -234,6 +235,24 @@ def test_shifted_sos_single_variable():
         assert shifted_sos_cumulant(sv, fam, 2) == 4 * a * a
     with pytest.raises(DomainError):
         shifted_sos_cumulant(ShiftVector((1,)), standard_normal_family(2, 1), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shifts=st.lists(SMALL_RATIONALS, min_size=1, max_size=3),
+    order=st.integers(min_value=1, max_value=4),
+)
+def test_shifted_sos_matches_the_joint_expansion_property(data, shifts, order):
+    # the Boolean-additive route against the oracle on the whole statistic
+    # s + sum_i (X_i^2 + 2 a_i X_i), each variable with its own preset
+    family = {i: data.draw(preset_sequences(2 * order)) for i in range(1, len(shifts) + 1)}
+    sv = ShiftVector(shifts)
+    terms = [(sv.s, ())]
+    for i, a in enumerate(sv.shifts, start=1):
+        terms += [(1, (i, i)), (2 * a, (i,))]
+    joint = element_cumulants(NCPolynomial(terms), family, order)
+    assert shifted_sos_cumulants(sv, family, order) == list(joint.values)
 
 
 def test_kagan_closed_form_values():
