@@ -28,6 +28,8 @@ from json.encoder import encode_basestring_ascii
 from .errors import DomainError
 from .rationals import (
     DENOMINATOR_MAX_BITS,  # rational lists and matrix files, in check_denominators
+    MATRIX_MAX_BYTES,  # each --matrix file, in load_matrix before it is decoded
+    MATRIX_MAX_N,  # each --matrix file, in load_matrix before any entry is parsed
     RATIONAL_MAX_BITS,  # every rational read from outside, in parse_rational
     format_rational,
     parse_rational,
@@ -58,12 +60,6 @@ ORACLE_CHECK_MAX_N = 8
 QF_MAX_ORDER = 64
 H_SERIES_MAX_ORDER = 512
 INDEPENDENCE_MAX_K = 512
-# Bound on the size n of a --matrix file, checked as soon as it is loaded
-# and before any matvec: each matvec costs n^2 products, so a Krylov chain
-# grows about 4x per doubling of n.  At n = 64, h-series --order 512 takes
-# 3.1 s, independence --k 512 on an exactly independent pair 3.9 s and
-# cumulants qf --order 64 0.6 s (2-core x86-64 host).
-MATRIX_MAX_N = 64
 # Bounds on the series orders and atom counts: exact rationals grow with
 # the order, and every atom pair costs a root and its share of one JSON
 # document in memory.  Most take at most a few seconds at their limit:
@@ -253,23 +249,13 @@ def _emit_cumulants(args, head: dict, values):
 
 
 def _matrices(args, count: int) -> list:
-    """Load the --matrix files, a usage error unless exactly count were given;
-    each is refused above MATRIX_MAX_N as soon as it is loaded."""
+    """Load the --matrix files, a usage error unless exactly count were given."""
     from . import matrices as mx
 
     paths = args.matrix or []
     if len(paths) != count:
         args.parser.error(f"this subcommand takes {count} --matrix, got {len(paths)}")
-    loaded = []
-    for path in paths:
-        matrix = mx.load_matrix(path)
-        if matrix.n > MATRIX_MAX_N:
-            raise DomainError(
-                f"--matrix {path} must be at most {MATRIX_MAX_N} x {MATRIX_MAX_N}, "
-                f"got n = {matrix.n}"
-            )
-        loaded.append(matrix)
-    return loaded
+    return [mx.load_matrix(path) for path in paths]
 
 
 # ---------------------------------------------------------------- handlers

@@ -41,7 +41,13 @@ from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
 from .partitions import closure_structure, enumerate_interval, lift_matching
-from .rationals import check_denominators, format_rational, parse_rational
+from .rationals import (
+    MATRIX_MAX_BYTES,
+    MATRIX_MAX_N,
+    check_denominators,
+    format_rational,
+    parse_rational,
+)
 from .series import FormalSeries
 
 
@@ -685,11 +691,16 @@ def matrix_from_json_obj(obj) -> HermitianMatrix:
 
 def load_matrix(path) -> HermitianMatrix:
     """Read a matrix file.  A missing file raises FileNotFoundError; any
-    other read, decode or parse failure raises DomainError."""
+    other read, decode or parse failure raises DomainError, as do a file
+    past MATRIX_MAX_BYTES before it is decoded and an integer "n" past
+    MATRIX_MAX_N before any entry is parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except FileNotFoundError:
+        with open(path, "rb") as handle:
+            data = handle.read(MATRIX_MAX_BYTES + 1)
+        if len(data) > MATRIX_MAX_BYTES:
+            raise DomainError(f"matrix file {path} has more than {MATRIX_MAX_BYTES} bytes")
+        obj = json.loads(data.decode("utf-8"))
+    except (FileNotFoundError, DomainError):
         raise
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"matrix file {path} cannot be read: {exc}") from exc
@@ -697,6 +708,11 @@ def load_matrix(path) -> HermitianMatrix:
         # JSONDecodeError, an int past the digit limit, or arrays nested
         # past the recursion limit
         raise DomainError(f"matrix file {path} is not valid JSON: {exc}") from exc
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is int and n > MATRIX_MAX_N:
+        raise DomainError(
+            f"--matrix {path} must be at most {MATRIX_MAX_N} x {MATRIX_MAX_N}, got n = {n}"
+        )
     return matrix_from_json_obj(obj)
 
 

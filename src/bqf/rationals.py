@@ -1,4 +1,5 @@
-"""Parsing and formatting of exact rationals as p/q strings."""
+"""Parsing and formatting of exact rationals as p/q strings, and the bounds
+on the data read from outside."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +26,20 @@ RATIONAL_MAX_BITS = 32
 # h-series --order 512 of a 64 x 64 file 9.8 s; at 64 bits they take 28,
 # 32 and 8.6 s, and h-series takes 24 s at 128 bits (2-core x86-64 host).
 DENOMINATOR_MAX_BITS = 32
+
+# Bound on the size n of a --matrix file, read from its "n" by load_matrix
+# before any entry is parsed: each matvec costs n^2 products, so a Krylov
+# chain grows about 4x per doubling of n.  At n = 64, h-series --order 512
+# takes 3.1 s, independence --k 512 on an exactly independent pair 3.9 s
+# and cumulants qf --order 64 0.6 s (2-core x86-64 host).
+MATRIX_MAX_N = 64
+
+# Bound on the bytes of a --matrix file, checked by load_matrix before the
+# file is decoded: decoding takes time and memory in proportion to the
+# bytes, and 2 MB of empty JSON arrays take 0.27 s and 66 MB a child.  The
+# largest 64 x 64 file save_matrix writes, with 32-bit parts, has 342 KB,
+# and 687 KB when indented by 8 (2-core x86-64 host).
+MATRIX_MAX_BYTES = 2_000_000
 
 
 def parse_rational(text: str) -> Fraction:

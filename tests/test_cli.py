@@ -15,19 +15,21 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bqf
-from bqf import cli
+from bqf import cli, matrices
 from bqf.cli import (
     APPROX_MAX_K,
     CONVERT_MAX_VALUES,
     H_SERIES_MAX_ORDER,
     INDEPENDENCE_MAX_K,
     LIMIT_MAX_ORDER,
+    MATRIX_MAX_BYTES,
     MATRIX_MAX_N,
     MEASURE_MAX_PAIRS,
     MODEL_MAX_COUNT,
@@ -347,6 +349,14 @@ def test_matrix_independence(capsys, matrix_files):
     assert payload["independent"] is True
     assert payload["kmax"] == 1  # two-point models only see the first power
     assert payload["witness_power"] is None
+    # no witness is an empty cell in csv
+    code, out, _ = invoke(
+        capsys,
+        ["matrix", "independence", "--matrix", matrix_files["zs2a"],
+         "--matrix", matrix_files["zs2b"], "--format", "csv"],
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == ["witness_power,", "witness_side,"]
     # I - P has zero row sums, so every J A^k B vanishes; J B A does not
     code, payload = invoke_json(
         capsys,
@@ -757,6 +767,31 @@ def test_hostile_input_ends_in_one_error_line(
     assert elapsed < 1 or not refused_up_front
 
 
+def test_matrix_file_is_sized_before_it_is_decoded_or_parsed(capsys, monkeypatch, tmp_path):
+    # while n was checked only once every entry was parsed, this 400 x 400
+    # file (1.9 MB) took 1.8 s and 76 MB a child to refuse
+    def unreachable(*args):
+        raise AssertionError("refused too late")
+
+    n = 400
+    rows = [[["1" if i == j else "0", "0"] for j in range(n)] for i in range(n)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": n, "entries": rows}))
+    monkeypatch.setattr(matrices, "parse_rational", unreachable)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["matrix", "check", "--matrix", str(big)])
+    assert time.perf_counter() - start < 0.5
+    bound = f"must be at most {MATRIX_MAX_N} x {MATRIX_MAX_N}, got n = {n}"
+    assert (code, out, err) == (1, "", f"error: --matrix {big} {bound}\n")
+    # a valid 1 x 1 file padded past MATRIX_MAX_BYTES is never decoded
+    long = tmp_path / "long.json"
+    long.write_text('{"n": 1, "entries": [[["1", "0"]]]}' + " " * MATRIX_MAX_BYTES)
+    monkeypatch.setattr(matrices, "json", SimpleNamespace(loads=unreachable))
+    code, out, err = invoke(capsys, ["matrix", "check", "--matrix", str(long)])
+    bound = f"has more than {MATRIX_MAX_BYTES} bytes"
+    assert (code, out, err) == (1, "", f"error: matrix file {long} {bound}\n")
+
+
 def distinct_denominators(count):
     """count rationals (2^32 - 3 - 2i)/(2^32 - 1 - 2i): each part fits in 32
     bits, but the lcm of the denominators grows by about 32 bits a value."""
@@ -1072,6 +1107,23 @@ def test_each_subcommand_imports_only_the_layers_it_calls():
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stderr.split())
         assert not loaded & unwanted, (argv, sorted(loaded))
+
+
+def test_a_closed_reader_ends_the_child_quietly():
+    # like `| head`: the reader goes away before the 0.8 MB of JSON, more
+    # than a pipe holds, is written; main() exits 1 and the interpreter's
+    # shutdown flush raises nothing
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bqf.cli", "measure", "atoms", "--pairs", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_cli_and_layers_import_neither_dataclasses_nor_inspect():

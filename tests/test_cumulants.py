@@ -62,6 +62,70 @@ def test_sequence_reads_beyond_order_rejected():
         CumulantSequence([])
 
 
+GAUSS2 = gaussian_sequence(0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, kind, text",
+    [
+        pytest.param(
+            lambda: GAUSS2.k(0), DomainError, "cumulant order must be positive, got 0",
+            id="k-zero",
+        ),
+        pytest.param(
+            lambda: cumulants_from_moments([1, 2], 3),
+            DomainError, "cumulants to order 3 need moments to order 3, got 2",
+            id="few-moments",
+        ),
+        pytest.param(
+            lambda: mixed_cumulant([], {1: GAUSS2}),
+            DomainError, "mixed cumulant needs at least one argument", id="mixed-empty",
+        ),
+        pytest.param(
+            lambda: product_cumulant((), (), {1: GAUSS2}), DomainError, "empty word",
+            id="product-empty",
+        ),
+        pytest.param(
+            lambda: product_cumulant((0, 2), (1, 1), {1: GAUSS2}),
+            DomainError, "group sizes must be positive, got (0, 2)", id="product-group",
+        ),
+        pytest.param(
+            lambda: product_cumulant((1, 1), (1, 2), {1: GAUSS2}),
+            DomainError, "no cumulant sequence for variable 2", id="product-missing",
+        ),
+        pytest.param(
+            lambda: shifted_cumulants(GAUSS2, 1, 0),
+            DomainError, "order must be positive, got 0", id="shift-order",
+        ),
+        pytest.param(
+            lambda: shifted_cumulants(GAUSS2, 1, 3),
+            OrderShortfallError, "shift to order 3 needs cumulants to order 3, have 2",
+            id="shift-shortfall",
+        ),
+        pytest.param(
+            lambda: gaussian_sequence(0, 1, 0),
+            DomainError, "order must be positive, got 0", id="gaussian-order",
+        ),
+        pytest.param(
+            lambda: poisson_sequence(1, 1, 0),
+            DomainError, "order must be positive, got 0", id="poisson-order",
+        ),
+        pytest.param(
+            lambda: even_poisson_sequence([], 0),
+            DomainError, "order must be positive, got 0", id="evenpoisson-order",
+        ),
+        pytest.param(
+            lambda: constant_family(GAUSS2, 0),
+            DomainError, "family size must be positive, got 0", id="family-size",
+        ),
+    ],
+)
+def test_cumulant_refusals(call, kind, text):
+    with pytest.raises(kind) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (kind, text)
+
+
 def test_moments_from_cumulants_examples():
     assert moments_from_cumulants(CumulantSequence([F(1), F(1), F(0)]), 3) == [
         F(1),

@@ -273,6 +273,43 @@ def test_qf_cumulant_iid_guards():
         qf_cumulant_iid(a, seq, 2)
 
 
+ANTI2 = HermitianMatrix([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "call, kind, text",
+    [
+        pytest.param(
+            lambda: qf_cumulant_general(ANTI2, constant_family(custom_sequence([1, 1]), 2), 0),
+            DomainError, "cumulant order must be positive, got 0", id="general-order",
+        ),
+        pytest.param(
+            lambda: qf_cumulants_general(ANTI2, {1: custom_sequence([1, 1])}, 1),
+            DomainError, "family has no sequence for variable 2", id="general-missing",
+        ),
+        pytest.param(
+            lambda: qf_cumulant_general(
+                ANTI2, {1: custom_sequence([1, 1, 0, 0]), 2: custom_sequence([1, 1])}, 2
+            ),
+            OrderShortfallError, "order 2 needs cumulants through 4, variable 2 has 2",
+            id="general-shortfall",
+        ),
+        pytest.param(
+            lambda: matrix_add(ANTI2, build_special("P", 3)),
+            DomainError, "sizes differ: 2 vs 3", id="add-sizes",
+        ),
+        pytest.param(
+            lambda: trace_J_power(ANTI2, -1),
+            DomainError, "power must be nonnegative, got -1", id="negative-power",
+        ),
+    ],
+)
+def test_matrix_refusals(call, kind, text):
+    with pytest.raises(kind) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (kind, text)
+
+
 def test_qf_cumulant_size_one_matches_polynomial_oracle():
     seq = custom_sequence([F(2), F(1), F(-1), F(3), F(1), F(0), F(2), F(1)])
     for c in (F(1), F(-3, 2)):
@@ -884,6 +921,8 @@ def test_matrix_json_errors(tmp_path):
         matrix_from_json_obj({"n": 0, "entries": []})
     with pytest.raises(DomainError):
         matrix_from_json_obj({"n": 2, "entries": [[["1", "0"], ["0", "0"]]]})
+    with pytest.raises(DomainError, match="^row 2 must list 2 entries$"):
+        matrix_from_json_obj({"n": 2, "entries": [[["1", "0"], ["0", "0"]], [["0", "0"]]]})
     with pytest.raises(DomainError) as exc:
         matrix_from_json_obj(
             {"n": 1, "entries": [[["1"]]]}

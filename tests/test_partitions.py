@@ -47,6 +47,10 @@ def test_enumeration_distinct_and_deterministic():
 def test_invalid_ground_set():
     with pytest.raises(DomainError):
         enumerate_interval(0)
+    with pytest.raises(DomainError, match="^ground set size must be positive, got 0$"):
+        IntervalPartition(0)
+    with pytest.raises(DomainError, match="^pair count must be positive, got 0$"):
+        standard_matching(0)
     with pytest.raises(DomainError):
         IntervalPartition(3, {3})
     with pytest.raises(DomainError):

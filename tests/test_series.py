@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bqf.errors import DomainError
 from bqf.matrices import build_special, matrix_add, matrix_scale, omega_moment
+from bqf.measure import tangent_convergence
 from bqf.series import (
     FormalSeries,
     RationalPolynomial,
@@ -50,6 +51,57 @@ def test_elementary_series_values():
     )
     with pytest.raises(DomainError):
         elementary_series("cosh", 4)
+
+
+SERIES2 = FormalSeries([F(1), F(2), F(3)])
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        pytest.param(
+            lambda: FormalSeries(()), "a series needs at least the constant coefficient",
+            id="empty",
+        ),
+        pytest.param(lambda: SERIES2.truncate(3), "cannot extend order 2 to 3", id="truncate"),
+        pytest.param(
+            lambda: series_ratio(SERIES2, FormalSeries([F(1)]), 1),
+            "ratio to order 1 needs both operands to that order (have 2 and 0)",
+            id="ratio-order",
+        ),
+        pytest.param(
+            lambda: compose(SERIES2, FormalSeries([F(0)]), 1),
+            "composition to order 1 needs both operands to that order (have 2 and 0)",
+            id="compose-order",
+        ),
+        pytest.param(
+            lambda: elementary_series("tan", -1), "order must be nonnegative, got -1",
+            id="elementary-order",
+        ),
+        pytest.param(
+            lambda: tangent_numbers(0), "need at least one tangent number, got k_max=0",
+            id="tangent-numbers",
+        ),
+        pytest.param(
+            lambda: zigzag_numbers(-1), "k_max must be nonnegative, got -1", id="zigzag-numbers"
+        ),
+        pytest.param(
+            lambda: tangent_polynomial(0), "index must be positive, got 0", id="tangent-poly"
+        ),
+        pytest.param(
+            lambda: limit_mgf_series(0, 1, 2, -1), "order must be nonnegative, got -1",
+            id="mgf-order",
+        ),
+        pytest.param(
+            lambda: limit_h_series(0, 1, -1), "order must be nonnegative, got -1",
+            id="h-order",
+        ),
+    ],
+)
+def test_series_refusals(call, text):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (DomainError, text)
 
 
 def test_series_arithmetic_and_truncation():
@@ -259,6 +311,52 @@ def test_limit_h_series_property_against_tangent_polynomials(a, b, order):
     for r in range(1, order + 1):
         poly = tangent_polynomial(r + 1)
         assert h.coefficient(r) == b**r * poly.evaluate(a / b) / math.factorial(r + 1)
+
+
+def tangent_family_ratio(a, b, c, n, order):
+    """sum_k Tr(P (aP + bB + cI)^k) z^k as (Im/z) / (b Re - a Im), where
+    Re + i Im = (1 + wz/n)^n and w = ib - cn, for b != 0."""
+    re, im = [], []
+    x, y = F(1), F(0)  # (w/n)^j = (-c + ib/n)^j
+    for j in range(order + 2):
+        re.append(math.comb(n, j) * x)
+        im.append(math.comb(n, j) * y)
+        x, y = -c * x - b / n * y, -c * y + b / n * x
+    den = FormalSeries([b * p - a * q for p, q in zip(re, im[: order + 1])])
+    return series_ratio(FormalSeries(im[1:]), den, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    b=st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    n=st.integers(min_value=1, max_value=8),
+    order=st.integers(min_value=0, max_value=8),
+)
+def test_tangent_family_ratio_property(a, b, c, n, order):
+    # the one ratio behind every tangent-family series: at c = 0 it is
+    # limit_mgf_series, at c = -a/n it gives the K_r of tangent_convergence's
+    # model, and at any c the dense traces of aP + bB + cI
+    moments = limit_mgf_series(a, b, n, order)
+    assert tangent_family_ratio(a, b, 0, n, order) == moments
+    model = tangent_family_ratio(a, b, -a / n, n, order)
+    for r in range(order + 1):
+        shifted = sum(
+            math.comb(r, j) * (-a / n) ** (r - j) * moments.coefficient(j) for j in range(r + 1)
+        )
+        assert model.coefficient(r) == shifted
+    if order:
+        rows = tangent_convergence(a, b, [n], order)
+        assert [row.finite_value for row in rows] == [float(k) for k in model.coeffs[1:]]
+    dense = matrix_add(
+        matrix_add(
+            matrix_scale(build_special("P", n), a), matrix_scale(build_special("B", n), b)
+        ),
+        matrix_scale(build_special("identity", n), c),
+    )
+    ratio = tangent_family_ratio(a, b, c, n, order)
+    assert ratio.coeffs == tuple(omega_moment(dense, k) for k in range(order + 1))
 
 
 def test_mgf_converges_to_h_plus_one():
