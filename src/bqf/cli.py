@@ -323,16 +323,16 @@ def _qf_polynomial(matrix):
     from . import cumulants as cm
 
     terms = []
-    for j in range(matrix.n):
-        for k in range(matrix.n):
-            e = matrix.entries[j][k]
-            if e.im != 0:
+    # stored column j is row j conjugated: the same real parts
+    for j, (col_re, col_im) in enumerate(zip(matrix.re, matrix.im)):
+        for k, (x, y) in enumerate(zip(col_re, col_im)):
+            if y:
                 raise DomainError(
                     "the polynomial oracle needs real entries; entry "
                     f"({j + 1},{k + 1}) has a nonzero imaginary part"
                 )
-            if e.re:
-                terms.append((e.re, (j + 1, k + 1)))
+            if x:
+                terms.append((Fraction(x, matrix.den), (j + 1, k + 1)))
     return cm.NCPolynomial(terms)
 
 

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, ExpansionCapError, OrderShortfallError
+from .errors import DomainError, ExpansionCapError, OrderShortfallError, checked_make
 from .partitions import enumerate_interval
 from .rationals import parse_rational, parse_rational_list
 
@@ -37,6 +37,7 @@ class CumulantSequence(namedtuple("CumulantSequence", "values")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, values):
         vals = tuple(map(Fraction, values))
@@ -68,6 +69,7 @@ class NCPolynomial(namedtuple("NCPolynomial", "terms")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, terms):
         merged = {}

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the checked _make of value types, for the package."""
 
 
 class DomainError(ValueError):
@@ -24,3 +24,7 @@ class PoleProximityError(DomainError):
 class AtomProximityError(DomainError):
     """Evaluation point too close to an atom location."""
 
+
+def checked_make(cls, fields):
+    """namedtuple's _make, and so _replace, through cls(*fields) and its checks."""
+    return cls(*fields)

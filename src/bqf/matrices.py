@@ -14,21 +14,18 @@ partitions are compositions, so the sum is a dynamic programme over block
 ends whose row vectors do not depend on the order: one chain of R matvecs
 yields K_1, ..., K_R, and a single-order call totals only its own order.
 The cumulants enter as integers scaled once per call, with no rational
-arithmetic per variable.
-Two routes are kept as oracles for the tests: the per-partition
-enumeration behind QFCumulantReport.contributions (2^r partitions, refused
-above CONTRIBUTIONS_MAX_ORDER) and qf_cumulant_hadamard, which reaches the
-same numbers along a structurally different route (projector closures and
-entrywise products) in GaussianRational arithmetic of its own.
+arithmetic per variable.  The oracles the tests check it against, the
+per-partition enumeration behind QFCumulantReport.contributions and the
+projector-closure route qf_cumulant_hadamard, are in bqf.oracles.
 
 A HermitianMatrix stores its columns as integer (re, im) grids over one
 denominator, the lcm of its entries' denominators.  All trace functionals
 against the all-ones matrix J are computed as 1^T A^k 1 by vector
 iteration on those grids: one row-vector product (_matvec) and the powers
 1^T A^k (_powers).  No matrix power is formed, one Fraction is built per
-result, and every chain outside qf_cumulant_hadamard runs on this kernel,
-_qf_dp included.  GaussianRational entries (HermitianMatrix.entries) are a
-view built on demand for the oracles and the JSON writer.
+result, and every chain here runs on this kernel, _qf_dp included.
+Matrices are read and written as (re, im) pairs of rationals; the
+entrywise view HermitianMatrix.entries is built for the oracles alone.
 """
 
 import json
@@ -40,7 +37,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, HermitianError, OrderShortfallError
-from .partitions import closure_structure, enumerate_interval, lift_matching
 from .rationals import (
     MATRIX_MAX_BYTES,
     MATRIX_MAX_N,
@@ -51,75 +47,39 @@ from .rationals import (
 from .series import FormalSeries
 
 
-class GaussianRational(namedtuple("GaussianRational", "re im")):
-    """A complex number with exact rational real and imaginary parts."""
+def __getattr__(name):
+    # perfbench still reaches these two oracles through this module
+    if name in ("GaussianRational", "qf_cumulant_hadamard"):
+        from . import oracles
 
-    __slots__ = ()
-
-    def __new__(cls, re=0, im=0):
-        return super().__new__(cls, Fraction(re), Fraction(im))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-as_gaussian(other))
-
-    def __mul__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def as_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value, 0)
-
-
-GR_ZERO = GaussianRational(0, 0)
-GR_ONE = GaussianRational(1, 0)
-
-
-class HermitianMatrix(namedtuple("HermitianMatrix", "n re im den")):
+class HermitianMatrix(namedtuple("HermitianMatrix", "re im den")):
     """A self-adjoint square matrix with Gaussian-rational entries.
 
     Column j is stored as the integer tuples re[j] and im[j] over den, the
     lcm of the entries' denominators, all reduced by their common gcd, so
-    equal matrices are equal tuples (n, re, im, den) and hash alike.
-    HermitianMatrix(entries) takes rows of GaussianRational, Fraction or
-    int.  entries is the GaussianRational view, row by row, built on first
-    access and kept in the instance dict; the integer kernel never reads
-    it.
+    equal matrices are equal tuples (re, im, den) and hash alike; the size
+    n is read off re.  HermitianMatrix(entries) takes rows whose entries
+    are rationals or (re, im) pairs of rationals.  entries is the view of
+    bqf.oracles, complex rationals row by row, built on first access and
+    kept in the instance dict; no production path reads it.
     """
 
     def __new__(cls, entries):
-        rows = [
-            [(e.re, e.im) if isinstance(e, GaussianRational) else (Fraction(e), 0) for e in row]
-            for row in entries
-        ]
+        rows = [[e if isinstance(e, tuple) else (e, 0) for e in row] for row in entries]
         n = len(rows)
         if n < 1:
             raise DomainError("matrix must have at least one row")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise DomainError(f"row {i + 1} has {len(row)} entries, expected {n}")
+            for e in row:
+                if len(e) != 2:
+                    raise DomainError(f"row {i + 1} has a {len(e)}-part entry, expected (re, im)")
+        rows = [[(Fraction(x), Fraction(y)) for x, y in row] for row in rows]
         den = lcm(*(x.denominator for row in rows for e in row for x in e))
         re = [[x.numerator * (den // x.denominator) for x, _ in row] for row in rows]
         im = [[y.numerator * (den // y.denominator) for _, y in row] for row in rows]
@@ -138,13 +98,19 @@ class HermitianMatrix(namedtuple("HermitianMatrix", "n re im den")):
         """The matrix of integer columns (re, im) over den, reduced."""
         g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
         re, im = (tuple(tuple(x // g for x in col) for col in grid) for grid in (re, im))
-        return super().__new__(cls, len(re), re, im, den // g)
+        return super().__new__(cls, re, im, den // g)
 
     def __reduce__(self):  # copy and pickle rebuild from the grids
         return self._of_grids, (self.re, self.im, self.den)
 
+    @property
+    def n(self) -> int:
+        return len(self.re)
+
     @cached_property
     def entries(self) -> tuple:
+        from .oracles import GaussianRational
+
         d = self.den
         return tuple(
             tuple(GaussianRational(Fraction(x, d), Fraction(-y, d)) for x, y in zip(cr, ci))
@@ -188,14 +154,6 @@ def matrix_scale(a: HermitianMatrix, c) -> HermitianMatrix:
     c = Fraction(c)
     re, im = ([[x * c.numerator for x in col] for col in grid] for grid in (a.re, a.im))
     return HermitianMatrix._of_grids(re, im, a.den * c.denominator)
-
-
-def _matmul(x, y):
-    cols = tuple(zip(*y))
-    return tuple(
-        tuple(sum((e * f for e, f in zip(row, col) if e and f), GR_ZERO) for col in cols)
-        for row in x
-    )
 
 
 def _require_real(re, im, den: int, what: str) -> Fraction:
@@ -295,6 +253,8 @@ class QFCumulantReport(namedtuple("QFCumulantReport", "order value matrix seq"))
 
     @cached_property
     def contributions(self) -> tuple:
+        from .oracles import _partition_shares
+
         return _partition_shares(self.matrix, self.seq, self.order)
 
     def contribution(self, pi):
@@ -302,49 +262,6 @@ class QFCumulantReport(namedtuple("QFCumulantReport", "order value matrix seq"))
             if p == pi:
                 return value
         raise DomainError(f"partition {pi} is not over {self.order + 1} points")
-
-
-def _lifted_cumulant_weight(seq, pi):
-    weight = None
-    for size in lift_matching(pi).block_sizes():
-        k = seq.k(size)
-        weight = k if weight is None else weight * k
-    return weight
-
-
-def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
-    """Oracle: the share of every interval partition of {1, ..., r+1}.
-
-    Per partition, the constant-on-blocks entry-product sum is the chain
-    1^T D_1 A D_2 A ... A D_p 1 with D_m the diagonal of A raised
-    entrywise to (block size m) - 1, times the lifted cumulant product.
-    On the integer grids every chain is over den^r, since the block sizes
-    sum to r + 1.
-    """
-    if r > CONTRIBUTIONS_MAX_ORDER:
-        raise DomainError(
-            f"per-partition contributions stop at order {CONTRIBUTIONS_MAX_ORDER}; "
-            f"order {r} has {2**r} partitions"
-        )
-    n, d = a.n, a.den**r
-    g = [a.re[i][i] for i in range(n)]
-    gpow = [[x**s for x in g] for s in range(r + 1)]
-    shares = []
-    for pi in enumerate_interval(r + 1):
-        weight = _lifted_cumulant_weight(seq, pi)
-        if not weight:
-            shares.append((pi, GR_ZERO))
-            continue
-        sizes = pi.block_sizes()
-        u = (gpow[sizes[0] - 1], [0] * n)
-        for s in sizes[1:]:
-            if not any(map(any, u)):
-                break
-            u_re, u_im = _matvec(u, a)
-            u = (list(map(mul, u_re, gpow[s - 1])), list(map(mul, u_im, gpow[s - 1])))
-        total = GaussianRational(Fraction(sum(u[0]), d), Fraction(sum(u[1]), d))
-        shares.append((pi, total * weight))
-    return tuple(shares)
 
 
 def _integer_cumulants(rows):
@@ -506,51 +423,6 @@ def qf_cumulant_general(a: HermitianMatrix, family, r: int):
     return value
 
 
-def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
-    """K_r of the quadratic form via projector closures (an oracle).
-
-    Per partition, the block starts act as plain matrix factors in the
-    order they appear (position one contributes J, later positions
-    contribute A) while each block's tail is compressed to the entrywise
-    product of the tails' diagonals; the partition's share is the trace of
-    the resulting chain.  Enumerates all 2^r interval partitions; the
-    tests use it as an independent check, and its totals must agree
-    exactly with qf_cumulant_iid.  It multiplies GaussianRational entries
-    itself (_matmul), so its arithmetic shares nothing with the integer
-    kernel (_matvec) that every other chain here runs on.
-    """
-    _check_iid_order(seq, r)
-    n = a.n
-    jgrid = tuple((GR_ONE,) * n for _ in range(n))
-    agrid = a.entries
-    diag = [agrid[i][i] for i in range(n)]
-    total = GR_ZERO
-    for pi in enumerate_interval(r + 1):
-        weight = _lifted_cumulant_weight(seq, pi)
-        if not weight:
-            continue
-        outer = closure_structure(pi).outer
-        bounds = outer + (r + 2,)
-        # The tail after each block start; positions >= 2 all carry A.
-        tails = [range(outer[m] + 1, bounds[m + 1]) for m in range(len(outer))]
-        tvecs = []
-        for tail in tails:
-            vec = (GR_ONE,) * n
-            for _ in tail:
-                vec = tuple(x * d for x, d in zip(vec, diag))
-            tvecs.append(vec)
-        grid = jgrid  # block starts begin at position 1
-        for m in range(1, len(outer)):
-            scaled = tuple(
-                tuple(grid[i][j] * tvecs[m - 1][j] for j in range(n))
-                for i in range(n)
-            )
-            grid = _matmul(scaled, agrid)
-        share = sum((grid[i][i] * tvecs[-1][i] for i in range(n)), GR_ZERO)
-        total = total + share * weight
-    return _require_real(total.re, total.im, 1, f"K_{r} of the quadratic form")
-
-
 def mixed_qf_cumulant(mats) -> object:
     """The length-r mixed quadratic-form cumulant Tr(J A_1 A_2 ... A_r).
 
@@ -625,33 +497,12 @@ def h_series_qf(a: HermitianMatrix, order: int) -> FormalSeries:
     return FormalSeries(coeffs)
 
 
-def poisson_qf_check(a: HermitianMatrix, rate, jump, order: int) -> bool:
-    """Whether Tr(J A^k) = rate * jump^k for k = 1..order."""
-    if order < 1:
-        raise DomainError(f"order must be positive, got {order}")
-    traces = h_series_qf(a, order).coeffs[1:]
-    return all(t == Fraction(rate) * Fraction(jump) ** k for k, t in enumerate(traces, 1))
-
-
-def lemma25_probe(a: HermitianMatrix, kmax_even: int) -> bool:
-    """Whether sum_{j,k} (a_jj a_kk)^m a_jk vanishes for even m <= kmax_even.
-
-    The even powers include m = 0, where the probe degenerates to
-    Tr(J A).  Returns True when every probe is zero.
-    """
-    if kmax_even < 2 or kmax_even % 2:
-        raise DomainError(f"kmax_even must be an even number >= 2, got {kmax_even}")
-    g = [a.re[i][i] for i in range(a.n)]  # the real diagonal, over den
-    for m in range(0, kmax_even + 1, 2):
-        w = [x**m for x in g]
-        u_re, u_im = _matvec((w, [0] * a.n), a)
-        if _dot(u_re, w) or _dot(u_im, w):
-            return False
-    return True
-
-
 def matrix_to_json_obj(a: HermitianMatrix) -> dict:
-    rows = [[[format_rational(x) for x in (e.re, e.im)] for e in row] for row in a.entries]
+    d = a.den
+    rows = [
+        [[format_rational(Fraction(v, d)) for v in (x, -y)] for x, y in zip(cr, ci)]
+        for cr, ci in zip(a.re, a.im)
+    ]
     return {"n": a.n, "entries": rows}
 
 
@@ -682,7 +533,7 @@ def matrix_from_json_obj(obj) -> HermitianMatrix:
                 raise DomainError(
                     f"entry ({i + 1},{j + 1}) must be a [re, im] pair of rationals"
                 )
-            parsed.append(GaussianRational(parse_rational(pair[0]), parse_rational(pair[1])))
+            parsed.append((parse_rational(pair[0]), parse_rational(pair[1])))
         rows.append(parsed)
     # the matrix is stored over the lcm of the denominators: bound it first
     check_denominators((x for row in rows for e in row for x in e), "matrix entries")
@@ -737,11 +588,10 @@ def random_hermitian(rng, n: int, complex_entries: bool = True) -> HermitianMatr
     def q():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
-    rows = [[GR_ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = GaussianRational(q(), 0)
+        rows[i][i] = q()
         for j in range(i + 1, n):
-            e = GaussianRational(q(), q() if complex_entries else 0)
-            rows[i][j] = e
-            rows[j][i] = e.conjugate()
+            x, y = q(), q() if complex_entries else 0
+            rows[i][j], rows[j][i] = (x, y), (x, -y)
     return HermitianMatrix(rows)

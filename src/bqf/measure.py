@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import AtomProximityError, DomainError, PoleProximityError
+from .errors import AtomProximityError, DomainError, PoleProximityError, checked_make
 from .series import (
     FormalSeries,
     _bernoulli_numbers,
@@ -45,6 +45,7 @@ class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, atoms):
         pairs = tuple((float(loc), float(mass)) for loc, mass in atoms)

@@ -10,13 +10,14 @@ partition exactly when the cut sets are disjoint.
 
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, checked_make
 
 
 class IntervalPartition(namedtuple("IntervalPartition", "n cuts")):
     """An interval partition of {1, ..., n}, stored as its set of cuts."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, n: int, cuts=()):
         if n < 1:

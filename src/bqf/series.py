@@ -2,14 +2,15 @@
 
 Everything is exact: coefficients are Fractions, and the classical integer
 sequences (tangent numbers, zigzag numbers) are produced by two unrelated
-routes and cross-checked before being returned.
+routes and cross-checked before being returned.  The tangent polynomials,
+the oracle of limit_h_series, are in bqf.oracles.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, checked_make
 
 _SERIES_KINDS = ("tan", "arctan", "sec")
 
@@ -18,6 +19,7 @@ class FormalSeries(namedtuple("FormalSeries", "coeffs")):
     """Coefficients c_0..c_N of a series truncated at order N."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, coeffs):
         vals = tuple(Fraction(c) for c in coeffs)
@@ -209,51 +211,6 @@ def zigzag_numbers(k_max: int) -> list:
             raise AssertionError(f"zigzag number {value} is not a positive integer")
         out.append(int(value))
     return out
-
-
-class RationalPolynomial(namedtuple("RationalPolynomial", "coeffs")):
-    """A one-variable polynomial with Fraction coefficients, constant first
-    (the shape of tangent_polynomial, the oracle of limit_h_series)."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs):
-        vals = [Fraction(c) for c in coeffs]
-        while len(vals) > 1 and not vals[-1]:
-            vals.pop()
-        if not vals:
-            vals = [Fraction(0)]
-        return super().__new__(cls, tuple(vals))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def tangent_polynomial(n: int) -> RationalPolynomial:
-    """The degree-(n-1) polynomial collecting tan-power coefficients.
-
-    The x^k coefficient is n! times the z^n coefficient of tan(z)^(k+1);
-    equivalently these are the coefficients of the exponential generating
-    function of tan(z)/(1 - x tan(z)).  Kept as the tests' oracle for
-    limit_h_series, which reads the same numbers off one series ratio.
-    """
-    if n < 1:
-        raise DomainError(f"index must be positive, got {n}")
-    tan = elementary_series("tan", n)
-    power = tan
-    coeffs = []
-    for _ in range(n):
-        coeffs.append(math.factorial(n) * power.coefficient(n))
-        power = power * tan
-    return RationalPolynomial(coeffs)
 
 
 def limit_mgf_series(a, b, n: int, order: int) -> FormalSeries:

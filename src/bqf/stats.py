@@ -20,7 +20,7 @@ from .cumulants import (
     element_cumulants,
     shifted_cumulants,
 )
-from .errors import DomainError
+from .errors import DomainError, checked_make
 from .matrices import (
     _check_iid_order,
     build_special,
@@ -35,6 +35,7 @@ class LinearFormSpec(namedtuple("LinearFormSpec", "weights")):
     """Weights of a linear form in n >= 2 variables."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, weights):
         w = tuple(Fraction(x) for x in weights)
@@ -47,26 +48,26 @@ class LinearFormSpec(namedtuple("LinearFormSpec", "weights")):
         return len(self.weights)
 
 
-class ShiftVector(namedtuple("ShiftVector", "shifts s")):
-    """A tuple of scalar shifts together with its cached sum of squares."""
+class ShiftVector(namedtuple("ShiftVector", "shifts")):
+    """A tuple of scalar shifts; s, their sum of squares, is computed."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, shifts, s=None):
         sh = tuple(Fraction(x) for x in shifts)
         if not sh:
             raise DomainError("need at least one shift")
-        total = sum((x * x for x in sh), Fraction(0))
-        if s is not None and Fraction(s) != total:
-            raise DomainError(f"cached sum of squares {s} != recomputed {total}")
-        return super().__new__(cls, sh, total)
+        self = super().__new__(cls, sh)
+        if s is not None and Fraction(s) != self.s:
+            raise DomainError(f"given sum of squares {s} != computed {self.s}")
+        return self
 
     @property
-    def sum_squares(self) -> Fraction:
-        fresh = sum((x * x for x in self.shifts), Fraction(0))
-        if fresh != self.s:
-            raise AssertionError(f"cached sum of squares {self.s} drifted from {fresh}")
-        return fresh
+    def s(self) -> Fraction:
+        return sum((x * x for x in self.shifts), Fraction(0))
+
+    sum_squares = s
 
 
 def _centred_cumulants(n: int, c, seq: CumulantSequence, order: int) -> list:

@@ -34,14 +34,12 @@ from bqf.cumulants import (
     poisson_sequence,
 )
 from bqf.matrices import (
-    GaussianRational,
     HermitianMatrix,
     build_special,
     independence_check,
     matrix_add,
     matrix_scale,
     omega_moment,
-    qf_cumulant_hadamard,
     qf_cumulant_iid,
     random_hermitian,
     trace_J_power,
@@ -55,6 +53,7 @@ from bqf.measure import (
     tangent_convergence,
     zeta_zigzag_approx,
 )
+from bqf.oracles import GaussianRational, qf_cumulant_hadamard
 from bqf.series import elementary_series, limit_mgf_series, tangent_numbers
 from bqf.stats import (
     LinearFormSpec,

@@ -1109,6 +1109,42 @@ def test_each_subcommand_imports_only_the_layers_it_calls():
         assert not loaded & unwanted, (argv, sorted(loaded))
 
 
+def test_no_subcommand_loads_the_oracles(tmp_path):
+    # bqf.oracles serves the tests alone: one child runs every subcommand
+    # that reads a matrix, runs the engine or the polynomial oracle, or
+    # calls stats, and has not loaded it
+    path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
+    matrix = str(tmp_path / "a.json")
+    save_matrix(HermitianMatrix([[1, F(1, 2)], [F(1, 2), -2]]), matrix)
+    dist = ["--dist", "gaussian:c=1,v=2"]
+    commands = [
+        ["cumulants", "qf", "--matrix", matrix, *dist, "--order", "4"],
+        ["cumulants", "oracle-check", "--n", "3", *dist, "--order", "3", "--seed", "7"],
+        ["cumulants", "oracle-check", "--matrix", matrix, *dist, "--order", "3"],
+        ["matrix", "check", "--matrix", matrix],
+        ["matrix", "independence", "--matrix", matrix, "--matrix", matrix, "--k", "2"],
+        ["matrix", "h-series", "--matrix", matrix, "--order", "4"],
+        ["stats", "sample-variance", "--n", "3", "--dist", "gaussian:c=0,v=1", "--order", "2"],
+        ["stats", "shifted-sos", "--shifts", "3,4,0", "--dist", "gaussian:c=0,v=1", "--order", "3"],
+        ["stats", "symmetrized", "--weights", "1,0,-1", "--dist", "custom:1,2,3,5", "--order", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import bqf.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert bqf.cli.main(argv) == 0, argv\n"
+        "assert 'bqf.oracles' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"equal": true') == 2
+
+
 def test_a_closed_reader_ends_the_child_quietly():
     # like `| head`: the reader goes away before the 0.8 MB of JSON, more
     # than a pipe holds, is written; main() exits 1 and the interpreter's

@@ -28,13 +28,11 @@ from bqf.cumulants import (
 from bqf.errors import DomainError, HermitianError, OrderShortfallError
 from bqf.matrices import (
     CONTRIBUTIONS_MAX_ORDER,
-    GaussianRational,
     HermitianMatrix,
     IndependenceResult,
     build_special,
     h_series_qf,
     independence_check,
-    lemma25_probe,
     load_matrix,
     matrix_add,
     matrix_from_json_obj,
@@ -42,9 +40,7 @@ from bqf.matrices import (
     matrix_to_json_obj,
     mixed_qf_cumulant,
     omega_moment,
-    poisson_qf_check,
     qf_cumulant_general,
-    qf_cumulant_hadamard,
     qf_cumulant_iid,
     qf_cumulants_general,
     qf_cumulants_iid,
@@ -52,6 +48,12 @@ from bqf.matrices import (
     save_matrix,
     trace_J_power,
     zero_sum_checks,
+)
+from bqf.oracles import (
+    GaussianRational,
+    lemma25_probe,
+    poisson_qf_check,
+    qf_cumulant_hadamard,
 )
 from bqf.partitions import enumerate_interval, kernel_refines, standard_matching, join_is_top
 
@@ -301,6 +303,16 @@ ANTI2 = HermitianMatrix([[0, 1], [1, 0]])
         pytest.param(
             lambda: trace_J_power(ANTI2, -1),
             DomainError, "power must be nonnegative, got -1", id="negative-power",
+        ),
+        pytest.param(  # the size is read off the grids, so it cannot be replaced
+            lambda: qf_cumulants_iid(
+                build_special("J", 3)._replace(n=2), gaussian_sequence(1, 1, 8), 3
+            ),
+            ValueError, "Got unexpected field names: ['n']", id="replaced-size",
+        ),
+        pytest.param(
+            lambda: HermitianMatrix([[(1, 0, 0)]]),
+            DomainError, "row 1 has a 3-part entry, expected (re, im)", id="three-part-entry",
         ),
     ],
 )
@@ -590,7 +602,7 @@ def test_qf_value_never_enumerates_partitions(monkeypatch):
     def refuse(n):
         raise RuntimeError(f"enumerated {2 ** (n - 1)} partitions")
 
-    monkeypatch.setattr("bqf.matrices.enumerate_interval", refuse)
+    monkeypatch.setattr("bqf.oracles.enumerate_interval", refuse)
     rng = random.Random(8)
     a = random_hermitian(rng, 3)
     seq = poisson_sequence(F(3, 2), F(2, 3), 12)
@@ -613,7 +625,7 @@ def test_integer_routes_never_build_gaussian_rationals(monkeypatch):
         def __init__(self, re=0, im=0):
             raise RuntimeError("built a GaussianRational")
 
-    monkeypatch.setattr("bqf.matrices.GaussianRational", Refused)
+    monkeypatch.setattr("bqf.oracles.GaussianRational", Refused)
     b = build_special("B", 3)
     for kind in ("J", "P", "identity"):
         build_special(kind, 3)
@@ -901,6 +913,7 @@ def test_integer_storage_matches_entries_property(tmp_path, data, a, c):
     save_matrix(a, path)
     assert load_matrix(path) == a
     assert HermitianMatrix(a.entries) == a
+    assert HermitianMatrix([[(e.re, e.im) for e in row] for row in a.entries]) == a
     assert a.den == lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
     b = data.draw(hermitian_matrices(max_n=a.n, min_n=a.n))
     total = matrix_add(a, b)

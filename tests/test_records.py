@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from bqf import cumulants, matrices, measure, partitions, series, stats
+from bqf import cumulants, matrices, measure, oracles, partitions, series, stats
 from bqf.cumulants import CumulantSequence, NCPolynomial
+from bqf.errors import DomainError
 from bqf.matrices import (
-    GaussianRational,
     HermitianMatrix,
     IndependenceResult,
     QFCumulantReport,
@@ -20,12 +20,13 @@ from bqf.matrices import (
     zero_sum_checks,
 )
 from bqf.measure import AtomicMeasure, ApproxResult, ConvergenceRow, MomentRow
+from bqf.oracles import GaussianRational, RationalPolynomial
 from bqf.partitions import (
     ClosureStructure,
     IntervalPartition,
     closure_structure,
 )
-from bqf.series import FormalSeries, RationalPolynomial
+from bqf.series import FormalSeries
 from bqf.stats import LinearFormSpec, ShiftVector
 
 IMAG = GaussianRational(0, 1)
@@ -69,7 +70,7 @@ def test_records_are_equal_hashable_and_immutable(kind):
 
 def test_records_cover_every_value_type():
     # a value type added to a layer gets a builder above
-    layers = (partitions, cumulants, series, matrices, stats, measure)
+    layers = (partitions, cumulants, series, matrices, stats, measure, oracles)
     kinds = {
         v
         for layer in layers
@@ -77,3 +78,29 @@ def test_records_cover_every_value_type():
         if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == layer.__name__
     }
     assert kinds == set(BUILDERS) and len(kinds) == 17
+
+
+# _make, and so _replace, runs the constructor's checks: one refused value
+# per value type whose __new__ takes exactly its fields
+REFUSED_REPLACEMENTS = [
+    (IntervalPartition, {"cuts": (5,)}, DomainError, "cut 5 outside 1..4"),
+    (CumulantSequence, {"values": ()}, DomainError, "a cumulant sequence needs at least order 1"),
+    (NCPolynomial, {"terms": [(1, (0,))]}, DomainError, "variable indices start at 1, got word (0,)"),
+    (FormalSeries, {"coeffs": ()}, DomainError, "a series needs at least the constant coefficient"),
+    (GaussianRational, {"im": "1/0"}, ZeroDivisionError, "Fraction(1, 0)"),
+    (RationalPolynomial, {"coeffs": ["x"]}, ValueError, "Invalid literal for Fraction: 'x'"),
+    (LinearFormSpec, {"weights": (1,)}, DomainError, "need at least two weights, got 1"),
+    (ShiftVector, {"shifts": ()}, DomainError, "need at least one shift"),
+    (AtomicMeasure, {"atoms": ((0.0, -1.0),)}, DomainError, "atom at 0.0 has nonpositive mass -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, change, error, text",
+    REFUSED_REPLACEMENTS,
+    ids=[case[0].__name__ for case in REFUSED_REPLACEMENTS],
+)
+def test_replace_runs_the_constructor_checks(kind, change, error, text):
+    with pytest.raises(error) as exc:
+        BUILDERS[kind]()._replace(**change)
+    assert (type(exc.value), str(exc.value)) == (error, text)

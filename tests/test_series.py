@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from bqf.errors import DomainError
 from bqf.matrices import build_special, matrix_add, matrix_scale, omega_moment
 from bqf.measure import tangent_convergence
+from bqf.oracles import RationalPolynomial, tangent_polynomial
 from bqf.series import (
     FormalSeries,
-    RationalPolynomial,
     compose,
     elementary_series,
     limit_h_series,
     limit_mgf_series,
     series_ratio,
     tangent_numbers,
-    tangent_polynomial,
     zigzag_numbers,
 )
 

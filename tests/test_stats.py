@@ -19,11 +19,11 @@ from bqf.cumulants import (
 )
 from bqf.errors import DomainError, OrderShortfallError
 from bqf.matrices import (
-    GaussianRational,
     HermitianMatrix,
     qf_cumulant_iid,
     qf_cumulants_iid,
 )
+from bqf.oracles import GaussianRational
 from bqf.stats import (
     LinearFormSpec,
     ShiftVector,
@@ -56,6 +56,12 @@ def test_shift_vector_cache():
         ShiftVector((1, 2), s=4)
     with pytest.raises(DomainError):
         ShiftVector(())
+    # s is computed from the shifts: neither _replace nor _make can set it
+    family = constant_family(gaussian_sequence(0, 1, 6), 2)
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['s'\]$"):
+        shifted_sos_cumulants(ShiftVector([1, 2])._replace(s=7), family, 3)
+    with pytest.raises(DomainError, match="^given sum of squares 7 != computed 5$"):
+        ShiftVector._make(((1, 2), 7))
 
 
 def test_symmetrized_two_point():
