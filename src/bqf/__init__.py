@@ -2,8 +2,8 @@
 
 Subpackages, one concern each:
 
-- partitions: interval partitions of {1..n}, refinement, matchings, closure
-  structure.
+- partitions: interval partitions of {1..n}, refinement, joins and
+  matchings.
 - cumulants: moment/cumulant conversion, word moments under Boolean
   independence, the brute-force polynomial oracle, mixed and product
   cumulants, scalar shifts, distribution presets.

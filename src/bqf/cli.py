@@ -302,7 +302,8 @@ def _cmd_cumulants_oracle_check(args):
     seq = _sequence(args)
     family = cm.constant_family(seq, matrix.n)
     engine = mx.qf_cumulants_iid(matrix, seq, args.order)
-    oracle = cm.element_cumulants(_qf_polynomial(matrix), family, args.order).values
+    poly = cm.NCPolynomial(mx.real_terms(matrix))
+    oracle = cm.element_cumulants(poly, family, args.order).values
     equal = tuple(engine) == tuple(oracle)
     payload = {
         "n": matrix.n,
@@ -316,24 +317,6 @@ def _cmd_cumulants_oracle_check(args):
     rows = [(r, engine[r - 1], oracle[r - 1]) for r in range(1, args.order + 1)]
     _emit(args, payload, ("r", "engine", "oracle"), rows)
     return 0 if equal else 1
-
-
-def _qf_polynomial(matrix):
-    """sum_{j,k} a_{jk} X_j X_k as an NCPolynomial with rational coefficients."""
-    from . import cumulants as cm
-
-    terms = []
-    # stored column j is row j conjugated: the same real parts
-    for j, (col_re, col_im) in enumerate(zip(matrix.re, matrix.im)):
-        for k, (x, y) in enumerate(zip(col_re, col_im)):
-            if y:
-                raise DomainError(
-                    "the polynomial oracle needs real entries; entry "
-                    f"({j + 1},{k + 1}) has a nonzero imaginary part"
-                )
-            if x:
-                terms.append((Fraction(x, matrix.den), (j + 1, k + 1)))
-    return cm.NCPolynomial(terms)
 
 
 def _cmd_cumulants_convert(args):

@@ -62,27 +62,42 @@ class HermitianMatrix(namedtuple("HermitianMatrix", "re im den")):
     Column j is stored as the integer tuples re[j] and im[j] over den, the
     lcm of the entries' denominators, all reduced by their common gcd, so
     equal matrices are equal tuples (re, im, den) and hash alike; the size
-    n is read off re.  HermitianMatrix(entries) takes rows whose entries
-    are rationals or (re, im) pairs of rationals.  entries is the view of
+    n is read off re.  _make is the one constructor: it refuses grids
+    that are not square or not self-adjoint and a den below 1, and
+    reduces.  HermitianMatrix(entries) turns rows whose entries are
+    rationals or (re, im) pairs of rationals into grids for it, and
+    _replace, copy and pickle go through it too.  entries is the view of
     bqf.oracles, complex rationals row by row, built on first access and
     kept in the instance dict; no production path reads it.
     """
 
     def __new__(cls, entries):
         rows = [[e if isinstance(e, tuple) else (e, 0) for e in row] for row in entries]
-        n = len(rows)
-        if n < 1:
-            raise DomainError("matrix must have at least one row")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise DomainError(f"row {i + 1} has {len(row)} entries, expected {n}")
             for e in row:
                 if len(e) != 2:
                     raise DomainError(f"row {i + 1} has a {len(e)}-part entry, expected (re, im)")
         rows = [[(Fraction(x), Fraction(y)) for x, y in row] for row in rows]
         den = lcm(*(x.denominator for row in rows for e in row for x in e))
+        # column i is the conjugate of row i
         re = [[x.numerator * (den // x.denominator) for x, _ in row] for row in rows]
-        im = [[y.numerator * (den // y.denominator) for _, y in row] for row in rows]
+        im = [[-y.numerator * (den // y.denominator) for _, y in row] for row in rows]
+        return cls._make((re, im, den))
+
+    @classmethod
+    def _make(cls, grids):
+        """The matrix of the integer columns (re, im) over den."""
+        re, im, den = grids
+        n = len(re)
+        if n < 1:
+            raise DomainError("matrix must have at least one row")
+        if len(im) != n:
+            raise DomainError(f"im has {len(im)} columns, expected {n}")
+        for i, col in chain(enumerate(re), enumerate(im)):
+            if len(col) != n:  # column i holds row i, conjugated
+                raise DomainError(f"row {i + 1} has {len(col)} entries, expected {n}")
+        if den < 1:
+            raise DomainError(f"den must be a positive integer, got {den}")
         for i in range(n):
             for j in range(i, n):
                 if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
@@ -90,18 +105,12 @@ class HermitianMatrix(namedtuple("HermitianMatrix", "re im den")):
                         f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                         "are not conjugate"
                     )
-        # column i is the conjugate of row i
-        return cls._of_grids(re, [[-y for y in row] for row in im], den)
-
-    @classmethod
-    def _of_grids(cls, re, im, den):
-        """The matrix of integer columns (re, im) over den, reduced."""
         g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
         re, im = (tuple(tuple(x // g for x in col) for col in grid) for grid in (re, im))
         return super().__new__(cls, re, im, den // g)
 
     def __reduce__(self):  # copy and pickle rebuild from the grids
-        return self._of_grids, (self.re, self.im, self.den)
+        return self._make, (tuple(self),)
 
     @property
     def n(self) -> int:
@@ -125,15 +134,15 @@ def build_special(kind: str, n: int) -> HermitianMatrix:
         raise DomainError(f"size must be positive, got {n}")
     ones, zeros = ((1,) * n,) * n, ((0,) * n,) * n
     if kind == "J":
-        return HermitianMatrix._of_grids(ones, zeros, 1)
+        return HermitianMatrix._make((ones, zeros, 1))
     if kind == "P":
-        return HermitianMatrix._of_grids(ones, zeros, n)
+        return HermitianMatrix._make((ones, zeros, n))
     if kind == "B":
         cols = [[(j < k) - (j > k) for j in range(n)] for k in range(n)]
-        return HermitianMatrix._of_grids(zeros, cols, n)
+        return HermitianMatrix._make((zeros, cols, n))
     if kind == "identity":
         cols = [[int(j == k) for j in range(n)] for k in range(n)]
-        return HermitianMatrix._of_grids(cols, zeros, 1)
+        return HermitianMatrix._make((cols, zeros, 1))
     raise DomainError(f"unknown special matrix {kind!r}, expected J, P, B or identity")
 
 
@@ -146,14 +155,31 @@ def matrix_add(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
         [[p * fa + q * fb for p, q in zip(cx, cy)] for cx, cy in zip(x, y)]
         for x, y in ((a.re, b.re), (a.im, b.im))
     )
-    return HermitianMatrix._of_grids(re, im, den)
+    return HermitianMatrix._make((re, im, den))
 
 
 def matrix_scale(a: HermitianMatrix, c) -> HermitianMatrix:
     """Scale by a real scalar (a complex one would break self-adjointness)."""
     c = Fraction(c)
     re, im = ([[x * c.numerator for x in col] for col in grid] for grid in (a.re, a.im))
-    return HermitianMatrix._of_grids(re, im, a.den * c.denominator)
+    return HermitianMatrix._make((re, im, a.den * c.denominator))
+
+
+def real_terms(a: HermitianMatrix) -> list:
+    """The terms (a_jk, (j, k)) of a real matrix, row by row, 1-based and
+    nonzero; an entry with a nonzero imaginary part is a DomainError."""
+    terms = []
+    # stored column j is row j conjugated: the same real parts
+    for j, (col_re, col_im) in enumerate(zip(a.re, a.im), 1):
+        for k, (x, y) in enumerate(zip(col_re, col_im), 1):
+            if y:
+                raise DomainError(
+                    "the polynomial oracle needs real entries; entry "
+                    f"({j},{k}) has a nonzero imaginary part"
+                )
+            if x:
+                terms.append((Fraction(x, a.den), (j, k)))
+    return terms
 
 
 def _require_real(re, im, den: int, what: str) -> Fraction:

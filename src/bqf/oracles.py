@@ -24,7 +24,7 @@ from .matrices import (
     _require_real,
     h_series_qf,
 )
-from .partitions import closure_structure, enumerate_interval, lift_matching
+from .partitions import enumerate_interval, lift_matching
 from .series import elementary_series
 
 
@@ -148,7 +148,7 @@ def qf_cumulant_hadamard(a: HermitianMatrix, seq, r: int):
         weight = _lifted_cumulant_weight(seq, pi)
         if not weight:
             continue
-        outer = closure_structure(pi).outer
+        outer = tuple(block[0] for block in pi.blocks())
         bounds = outer + (r + 2,)
         # The tail after each block start; positions >= 2 all carry A.
         tails = [range(outer[m] + 1, bounds[m + 1]) for m in range(len(outer))]

@@ -54,18 +54,6 @@ class IntervalPartition(namedtuple("IntervalPartition", "n cuts")):
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks())
 
 
-class ClosureStructure(namedtuple("ClosureStructure", "outer inner")):
-    """Positions split for the projector-closure evaluation of a partition.
-
-    outer lists the first position of each block, left to right; inner
-    holds one ordered tuple of the remaining positions for each block of
-    size at least two, in block order.  Together they cover {1, ..., n}
-    disjointly.
-    """
-
-    __slots__ = ()
-
-
 def top_partition(n: int) -> IntervalPartition:
     """The one-block partition (no cuts)."""
     return IntervalPartition(n, ())
@@ -147,13 +135,3 @@ def kernel_refines(indices, pi: IntervalPartition) -> bool:
         indices[p - 1] == indices[p] for p in range(1, pi.n) if p not in pi.cuts
     )
 
-
-def closure_structure(pi: IntervalPartition) -> ClosureStructure:
-    """Split positions into block starts and per-block tails."""
-    outer = []
-    inner = []
-    for block in pi.blocks():
-        outer.append(block[0])
-        if len(block) > 1:
-            inner.append(tuple(block[1:]))
-    return ClosureStructure(tuple(outer), tuple(inner))

@@ -181,23 +181,18 @@ def test_cumulants_oracle_check_sampled(capsys):
         assert payload["engine"] == payload["oracle"]
 
 
-def test_cumulants_oracle_check_rejects_complex_matrix(capsys, matrix_files):
-    code, out, err = invoke(
-        capsys,
-        [
-            "cumulants",
-            "oracle-check",
-            "--matrix",
-            matrix_files["b2"],
-            "--dist",
-            "gaussian:c=0,v=1",
-            "--order",
-            "2",
-        ],
-    )
-    assert code == 1
-    assert out == ""
-    assert "error:" in err and "imaginary" in err
+def test_cumulants_oracle_check_rejects_complex_matrix(capsys, matrix_files, tmp_path):
+    # B_2 has entry (1,2) = i/2; the second file has (1,2) = 1 + i
+    plus_i = tmp_path / "plus_i.json"
+    save_matrix(HermitianMatrix([[0, (1, 1)], [(1, -1), 0]]), plus_i)
+    for path in (matrix_files["b2"], str(plus_i)):
+        argv = ["cumulants", "oracle-check", "--matrix", path]
+        assert invoke(capsys, argv + ["--dist", "gaussian:c=0,v=1", "--order", "2"]) == (
+            1,
+            "",
+            "error: the polynomial oracle needs real entries; entry (1,2) has a nonzero "
+            "imaginary part\n",
+        )
 
 
 def test_all_orders_take_one_chain_of_matvecs(capsys, matrix_files, monkeypatch):

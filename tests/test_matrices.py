@@ -915,6 +915,11 @@ def test_integer_storage_matches_entries_property(tmp_path, data, a, c):
     assert HermitianMatrix(a.entries) == a
     assert HermitianMatrix([[(e.re, e.im) for e in row] for row in a.entries]) == a
     assert a.den == lcm(*(x.denominator for row in a.entries for e in row for x in (e.re, e.im)))
+    # the one constructor reduces grids scaled by a common factor
+    m = data.draw(st.integers(min_value=2, max_value=12))
+    grids = [[[x * m for x in col] for col in grid] for grid in (a.re, a.im)]
+    unreduced = HermitianMatrix._make((*grids, a.den * m))
+    assert unreduced == a and hash(unreduced) == hash(a)
     b = data.draw(hermitian_matrices(max_n=a.n, min_n=a.n))
     total = matrix_add(a, b)
     want = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))

@@ -1,4 +1,4 @@
-"""Interval partition lattice: enumeration, order, matchings, closures."""
+"""Interval partition lattice: enumeration, order, matchings."""
 
 import itertools
 import random
@@ -7,9 +7,7 @@ import pytest
 
 from bqf.errors import DomainError
 from bqf.partitions import (
-    ClosureStructure,
     IntervalPartition,
-    closure_structure,
     enumerate_interval,
     join_is_top,
     kernel_refines,
@@ -185,31 +183,6 @@ def test_kernel_against_naive_scan():
                 len({idx[i - 1] for i in block}) == 1 for block in p.blocks()
             )
             assert kernel_refines(idx, p) == naive
-
-
-def test_closure_examples():
-    c = closure_structure(IntervalPartition(6, {3}))
-    assert c.outer == (1, 4)
-    assert c.inner == ((2, 3), (5, 6))
-
-    c0 = closure_structure(singleton_partition(4))
-    assert c0.outer == (1, 2, 3, 4)
-    assert c0.inner == ()
-
-    c1 = closure_structure(top_partition(4))
-    assert c1.outer == (1,)
-    assert c1.inner == ((2, 3, 4),)
-
-
-def test_closure_is_disjoint_cover():
-    for n in range(1, 8):
-        for p in enumerate_interval(n):
-            c = closure_structure(p)
-            seen = list(c.outer) + [i for inner in c.inner for i in inner]
-            assert sorted(seen) == list(range(1, n + 1))
-            assert c.outer == tuple(b[0] for b in p.blocks())
-            for inner in c.inner:
-                assert list(inner) == list(range(inner[0], inner[-1] + 1))
 
 
 def test_partition_is_hashable_value_object():

@@ -8,7 +8,7 @@ import pytest
 
 from bqf import cumulants, matrices, measure, oracles, partitions, series, stats
 from bqf.cumulants import CumulantSequence, NCPolynomial
-from bqf.errors import DomainError
+from bqf.errors import DomainError, HermitianError
 from bqf.matrices import (
     HermitianMatrix,
     IndependenceResult,
@@ -21,11 +21,7 @@ from bqf.matrices import (
 )
 from bqf.measure import AtomicMeasure, ApproxResult, ConvergenceRow, MomentRow
 from bqf.oracles import GaussianRational, RationalPolynomial
-from bqf.partitions import (
-    ClosureStructure,
-    IntervalPartition,
-    closure_structure,
-)
+from bqf.partitions import IntervalPartition
 from bqf.series import FormalSeries
 from bqf.stats import LinearFormSpec, ShiftVector
 
@@ -34,7 +30,6 @@ IMAG = GaussianRational(0, 1)
 # one builder per type, each called twice on equal inputs
 BUILDERS = {
     IntervalPartition: lambda: IntervalPartition(5, [3, 1]),
-    ClosureStructure: lambda: closure_structure(IntervalPartition(4, [1])),
     CumulantSequence: lambda: CumulantSequence([1, F(1, 2), 0]),
     NCPolynomial: lambda: NCPolynomial([(2, (1, 2)), (F(1, 3), ()), (-1, (1, 2))]),
     FormalSeries: lambda: FormalSeries([0, 1, F(-1, 3)]),
@@ -77,11 +72,17 @@ def test_records_cover_every_value_type():
         for v in vars(layer).values()
         if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == layer.__name__
     }
-    assert kinds == set(BUILDERS) and len(kinds) == 17
+    assert kinds == set(BUILDERS) and len(kinds) == 16
+
+
+def test_types_with_their_own_new_define_make():
+    # namedtuple's own _make, and so _replace, would skip the checks of __new__
+    unchecked = [kind for kind in BUILDERS if "__new__" in vars(kind) and "_make" not in vars(kind)]
+    assert unchecked == []
 
 
 # _make, and so _replace, runs the constructor's checks: one refused value
-# per value type whose __new__ takes exactly its fields
+# per value type whose __new__ or _make checks its fields
 REFUSED_REPLACEMENTS = [
     (IntervalPartition, {"cuts": (5,)}, DomainError, "cut 5 outside 1..4"),
     (CumulantSequence, {"values": ()}, DomainError, "a cumulant sequence needs at least order 1"),
@@ -89,6 +90,10 @@ REFUSED_REPLACEMENTS = [
     (FormalSeries, {"coeffs": ()}, DomainError, "a series needs at least the constant coefficient"),
     (GaussianRational, {"im": "1/0"}, ZeroDivisionError, "Fraction(1, 0)"),
     (RationalPolynomial, {"coeffs": ["x"]}, ValueError, "Invalid literal for Fraction: 'x'"),
+    (HermitianMatrix, {"re": ((1, 2), (3, 1))}, HermitianError,
+     "entries (1,2) and (2,1) are not conjugate"),
+    (HermitianMatrix, {"den": 0}, DomainError, "den must be a positive integer, got 0"),
+    (HermitianMatrix, {"re": ((1, 1), (1,))}, DomainError, "row 2 has 1 entries, expected 2"),
     (LinearFormSpec, {"weights": (1,)}, DomainError, "need at least two weights, got 1"),
     (ShiftVector, {"shifts": ()}, DomainError, "need at least one shift"),
     (AtomicMeasure, {"atoms": ((0.0, -1.0),)}, DomainError, "atom at 0.0 has nonpositive mass -1.0"),
