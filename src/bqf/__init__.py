@@ -3,7 +3,7 @@
 Subpackages, one concern each:
 
 - partitions: interval partitions of {1..n}, refinement, joins and
-  matchings.
+  matchings; it serves the `partitions` listing and the oracles alone.
 - cumulants: moment/cumulant conversion, word moments under Boolean
   independence, the brute-force polynomial oracle, mixed and product
   cumulants, scalar shifts, distribution presets.

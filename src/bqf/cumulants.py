@@ -21,7 +21,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, ExpansionCapError, OrderShortfallError, checked_make
-from .partitions import enumerate_interval
 from .rationals import parse_rational, parse_rational_list
 
 DEFAULT_TERM_CAP = 200_000
@@ -311,10 +310,13 @@ def product_cumulant(grouping, word, family) -> Fraction:
     grouping lists consecutive group sizes over the word, so a word
     (w_1, ..., w_m) with grouping (g_1, ..., g_p) means the cumulant
     K_p(Y_1, ..., Y_p) with each Y_j a product of the next g_j variables.
-    Evaluated by the lattice product formula: sum of K_pi over partitions
-    pi whose join with the grouping partition is the one-block partition,
-    where K_pi factors over blocks and vanishes unless the block's
-    variables agree.
+    The lattice product formula sums K_pi over the interval partitions pi
+    that cut nowhere the grouping cuts, K_pi being the product of K_len
+    over the blocks if each block holds one letter and zero otherwise.
+    The sum runs as a DP over block ends, which fall at the word's end or
+    where the grouping does not cut.  It reads K only from ends reached
+    through one-letter blocks, so it refuses a run longer than its
+    sequence exactly when a partition of the sum reads one.
     """
     word = tuple(word)
     grouping = tuple(int(g) for g in grouping)
@@ -331,19 +333,15 @@ def product_cumulant(grouping, word, family) -> Fraction:
         if v not in family:
             raise DomainError(f"no cumulant sequence for variable {v}")
     rho_cuts = set(itertools.accumulate(grouping[:-1]))
-    total = Fraction(0)
-    for pi in enumerate_interval(m):
-        if pi.cuts & rho_cuts:
-            continue  # join with the grouping is not the one-block partition
-        prod = Fraction(1)
-        for block in pi.blocks():
-            letters = {word[p - 1] for p in block}
-            if len(letters) > 1:
-                prod = Fraction(0)
-                break
-            prod *= family[word[block[0] - 1]].k(len(block))
-        total += prod
-    return total
+    reached = {0: Fraction(1)}  # block end -> sum over the blocks before it
+    for i in range(m):
+        if i in reached:
+            seq, j = family[word[i]], i
+            while j < m and word[j] == word[i]:
+                j += 1
+                if j == m or j not in rho_cuts:
+                    reached[j] = reached.get(j, 0) + reached[i] * seq.k(j - i)
+    return reached.get(m, Fraction(0))
 
 
 def shifted_cumulants(seq: CumulantSequence, shift, order: int) -> CumulantSequence:

@@ -28,7 +28,6 @@ from .matrices import (
     matrix_scale,
     qf_cumulants_iid,
 )
-from .partitions import enumerate_interval, lift_matching
 
 
 class LinearFormSpec(namedtuple("LinearFormSpec", "weights")):
@@ -157,20 +156,20 @@ def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):
 
 
 def kagan_closed_form(s, r: int) -> Fraction:
-    """The shift-only closed form for K_r of the shifted sum of squares.
+    """The shift-only closed form for K_r of the shifted sum of squares:
+    1 + s at r = 1 and 4 s (1 + s)^(r-2) for r >= 2.
 
-    Sums s^(r + singletons - blocks) over the partitions of {1, ..., 2r}
-    whose join with the standard matching is full, with 0^0 = 1.  Valid
-    for r >= 2 in the standard-normal-family sense; at r = 1 it yields
-    1 + s while the direct value is n + s, and the function still
+    It sums s^(r + singletons - blocks), with 0^0 = 1, over the partitions
+    of {1, ..., 2r} whose join with the standard matching is full, the
+    lifts of the partitions of {1, ..., r + 1}, that is of the cut sets of
+    its r gaps.  A cut in an end gap adds a block and a lifted singleton; a
+    cut in one of the r - 2 inner gaps lowers the exponent r - 1 of the
+    uncut partition by one, so the sum is 4 s^(r-1) (1 + 1/s)^(r-2).
+    Valid for r >= 2 in the standard-normal-family sense; at r = 1 it
+    yields 1 + s while the direct value is n + s, and the function still
     evaluates there so that the discrepancy can be exhibited.
     """
     if r < 1:
         raise DomainError(f"cumulant order must be positive, got {r}")
     s = Fraction(s)
-    total = Fraction(0)
-    for pi in enumerate_interval(r + 1):
-        lifted = lift_matching(pi)
-        exponent = r + lifted.singleton_count - lifted.num_blocks
-        total += s**exponent
-    return total
+    return 1 + s if r == 1 else 4 * s * (1 + s) ** (r - 2)

@@ -1077,12 +1077,31 @@ def test_each_subcommand_imports_only_the_layers_it_calls():
     # never calls; a fresh child per case lists the bqf modules it loaded
     path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
     layers = {"partitions", "cumulants", "matrices", "series", "stats", "measure"}
+    dist = ["--dist", "gaussian:c=0,v=1"]
     cases = [
         ([], layers),
         (["approx", "zeta", "--k", "1", "--n", "10"], layers - {"series", "measure"}),
         (
             ["partitions", "enumerate", "--n", "3"],
             {"series", "measure", "matrices", "cumulants"},
+        ),
+        (["cumulants", "convert", "--moments", "1,2,3"], layers - {"cumulants"}),
+        # the closed forms and the product DP enumerate no partitions
+        (
+            ["cumulants", "oracle-check", "--n", "2", *dist, "--order", "2", "--seed", "7"],
+            {"partitions", "measure"},
+        ),
+        (
+            ["stats", "sample-variance", "--n", "3", *dist, "--order", "2"],
+            {"partitions", "measure"},
+        ),
+        (
+            ["stats", "shifted-sos", "--shifts", "3,4,0", *dist, "--order", "3"],
+            {"partitions", "measure"},
+        ),
+        (
+            ["stats", "symmetrized", "--weights", "1,0,-1", *dist, "--order", "2"],
+            {"partitions", "measure"},
         ),
     ]
     script = (

@@ -1,7 +1,9 @@
 """Moment/cumulant calculus: conversions, word moments, the polynomial
 oracle, mixed and product cumulants, shifts, presets."""
 
+import itertools
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -30,6 +32,7 @@ from bqf.cumulants import (
 )
 from bqf.errors import DomainError, ExpansionCapError, OrderShortfallError
 from bqf.partitions import enumerate_interval, kernel_refines
+from bqf.stats import ShiftVector, kagan_closed_form, shifted_sos_cumulant
 
 
 def random_sequence(rng, order):
@@ -407,6 +410,30 @@ def lattice_mixed_cumulant(args, family):
     return total
 
 
+def lattice_product_cumulant(grouping, word, family):
+    """Independent oracle: the lattice product formula, the sum of K_pi
+    over the interval partitions pi whose join with the grouping is the
+    one-block partition, K_pi vanishing unless each block holds one letter.
+    A letter without a sequence raises DomainError, and so does the first
+    K_n read past a sequence."""
+    for v in set(word):
+        if v not in family:
+            raise DomainError(f"no cumulant sequence for variable {v}")
+    rho_cuts = set(itertools.accumulate(grouping[:-1]))
+    total = F(0)
+    for pi in enumerate_interval(len(word)):
+        if pi.cuts & rho_cuts:
+            continue  # join with the grouping is not the one-block partition
+        prod = F(1)
+        for block in pi.blocks():
+            if len({word[p - 1] for p in block}) > 1:
+                prod = F(0)
+                break
+            prod *= family[word[block[0] - 1]].k(len(block))
+        total += prod
+    return total
+
+
 SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -530,6 +557,63 @@ def test_product_cumulant_longer_words():
             NCPolynomial.variable(word[4]) * NCPolynomial.variable(word[5]),
         ]
         assert product_cumulant((3, 1, 2), word, fam) == mixed_cumulant(grouped, fam)
+
+
+@st.composite
+def product_inputs(draw):
+    # at most three letters, each with a sequence 1 to 9 long or, now and
+    # then, none; runs past a sequence and groups of every size occur often
+    word = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=9))
+    grouping, left = [], len(word)
+    while left:
+        grouping.append(draw(st.integers(min_value=1, max_value=left)))
+        left -= grouping[-1]
+    values = st.lists(SMALL_FRACTIONS, min_size=1, max_size=9)
+    family = {
+        v: CumulantSequence(draw(values))
+        for v in (1, 2, 3)
+        if draw(st.integers(min_value=0, max_value=9))
+    }
+    return grouping, word, family
+
+
+def _value_or_class(route, *args):
+    try:
+        return route(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_inputs())
+# the one block the grouping allows spans its cut and passes the sequence;
+# a K_1 of zero before a run past its sequence still refuses
+@example(([1, 1], (1, 1), {1: CumulantSequence([F(2)])}))
+@example(([2, 1], (1, 2, 2), {1: CumulantSequence([F(0)]), 2: CumulantSequence([F(1)])}))
+def test_product_cumulant_matches_lattice_sum_property(case):
+    # the same value, or the same exception class, as the lattice sum
+    want = _value_or_class(lattice_product_cumulant, *case)
+    assert _value_or_class(product_cumulant, *case) == want
+
+
+def test_computing_routes_never_enumerate_partitions(monkeypatch):
+    # product_cumulant and kagan_closed_form are polynomial; only the
+    # partition listing and the oracles enumerate
+    def refuse(n):
+        raise RuntimeError(f"enumerated {2 ** (n - 1)} partitions")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("bqf")]:
+        if hasattr(module, "enumerate_interval"):
+            monkeypatch.setattr(module, "enumerate_interval", refuse)
+    rng = random.Random(31)
+    fam = {i: random_sequence(rng, 24) for i in (1, 2)}
+    word = tuple(rng.randint(1, 2) for _ in range(24))
+    letters = [NCPolynomial.variable(v) for v in word]
+    assert product_cumulant((1,) * 24, word, fam) == mixed_cumulant(letters, fam)
+    assert product_cumulant((24,), word, fam) == word_moment(word, fam)
+    sv = ShiftVector((3, 4, 0))
+    standard_normal = constant_family(gaussian_sequence(0, 1, 80), 3)
+    assert kagan_closed_form(sv.s, 40) == shifted_sos_cumulant(sv, standard_normal, 40)
 
 
 def test_grouping_must_cover_word():

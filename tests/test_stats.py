@@ -24,6 +24,7 @@ from bqf.matrices import (
     qf_cumulants_iid,
 )
 from bqf.oracles import GaussianRational
+from bqf.partitions import enumerate_interval, lift_matching
 from bqf.stats import (
     LinearFormSpec,
     ShiftVector,
@@ -267,6 +268,23 @@ def test_kagan_closed_form_values():
     assert kagan_closed_form(25, 3) == 2600
     with pytest.raises(DomainError):
         kagan_closed_form(1, 0)
+
+
+def partition_sum_kagan(s, r):
+    """Independent oracle: s^(r + singletons - blocks), 0^0 = 1, summed over
+    the partitions of {1, ..., 2r} whose join with the standard matching is
+    full, listed as the lifts of the interval partitions of {1, ..., r+1}."""
+    total = F(0)
+    for pi in enumerate_interval(r + 1):
+        lifted = lift_matching(pi)
+        total += F(s) ** (r + lifted.singleton_count - lifted.num_blocks)
+    return total
+
+
+@pytest.mark.parametrize("s", [F(0), F(-1), F(7, 3), F(25)])
+def test_kagan_closed_form_is_the_partition_sum(s):
+    for r in range(1, 13):
+        assert kagan_closed_form(s, r) == partition_sum_kagan(s, r), r
 
 
 def test_kagan_matches_engine_for_r_at_least_two():
