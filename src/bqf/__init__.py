@@ -13,8 +13,9 @@ Subpackages, one concern each:
   quadratic-form cumulant engine (one composition DP for shared and
   per-variable families), trace identities, independence and
   zero-row-sum diagnostics, on one Python-int kernel.
-- stats: symmetrized products, sample variance, shifted sums of squares,
-  and the compact closed form for shifted Gaussian sums.
+- stats: symmetrized products, sample variance, shifted sums of squares
+  by one-variable moment recursions, and the compact closed form for
+  shifted Gaussian sums.
 - measure: the atomic measure with tangent-root atoms, its self-energy and
   partial sums, convergence tables, and zeta/tangent/zigzag trace
   approximations.

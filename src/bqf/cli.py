@@ -42,8 +42,8 @@ from .rationals import (
 # or any file is read.  Bounds on arguments whose cost grows
 # exponentially: enumerate lists 2^(n-1) partitions, and the oracle
 # expands the quadratic form's powers word by word.  shifted-sos shares
-# oracle-check's --order bound but never meets the cap: it expands one
-# variable per shift, whose power m has at most m + 1 words.  A quadratic
+# oracle-check's --order bound but expands no words: it sums one-variable
+# moment recursions, O(shifts * order^2) rational operations.  A quadratic
 # form's power m has nnz(A)^m words, so oracle-check meets the
 # expansion cap before expanding anything: with a Poisson preset at
 # --order 12, a sampled 8 x 8 matrix at power 3, a sampled 4 x 4 at power
@@ -83,9 +83,10 @@ MODEL_MAX_COUNT = 16
 # take 1.5 s (6.7 MB of JSON), 50 take 29 s in the library alone.  The
 # moment-cumulant conversion is about cubic in the length: 400 values with
 # distinct denominators take 2.7 s, 1000 take 39 s (2-core x86-64 host).
-# Each shift of stats shifted-sos costs one one-variable oracle call: 64
-# shifts at --order 12 take 0.1-0.3 s in-process, 0.8 s with 32-bit
-# rationals in a Poisson preset and in every shift.
+# Each shift of stats shifted-sos costs one moment-to-cumulant solve of
+# --order terms: 64 shifts at --order 12 take 0.06 s in-process, 0.16 s
+# (0.23-0.26 s a child) with 32-bit rationals in a Poisson preset and in
+# every shift (2-core x86-64 host).
 STATS_MAX_WEIGHTS = 16
 STATS_MAX_SHIFTS = 64
 CONVERT_MAX_VALUES = 400

@@ -65,14 +65,14 @@ class HermitianMatrix(namedtuple("HermitianMatrix", "re im den")):
     n is read off re.  _make is the one constructor: it refuses grids
     that are not square or not self-adjoint and a den below 1, and
     reduces.  HermitianMatrix(entries) turns rows whose entries are
-    rationals or (re, im) pairs of rationals into grids for it, and
-    _replace, copy and pickle go through it too.  entries is the view of
-    bqf.oracles, complex rationals row by row, built on first access and
-    kept in the instance dict; no production path reads it.
+    rationals or (re, im) pairs of rationals, tuples or lists, into grids
+    for it, and _replace, copy and pickle go through it too.  entries is
+    the view of bqf.oracles, complex rationals row by row, built on first
+    access and kept in the instance dict; no production path reads it.
     """
 
     def __new__(cls, entries):
-        rows = [[e if isinstance(e, tuple) else (e, 0) for e in row] for row in entries]
+        rows = [[e if isinstance(e, (tuple, list)) else (e, 0) for e in row] for row in entries]
         for i, row in enumerate(rows):
             for e in row:
                 if len(e) != 2:

@@ -40,8 +40,8 @@ ATOM_GUARD = 1e-9
 class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
     """A purely atomic measure: (location, mass) pairs sorted by location.
 
-    Masses are positive, locations strictly increasing, and the total mass
-    never exceeds 1 beyond binary64 slack.
+    Locations are finite, masses positive, locations strictly increasing,
+    and the total mass never exceeds 1 beyond binary64 slack.
     """
 
     __slots__ = ()
@@ -52,6 +52,8 @@ class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
         if not pairs:
             raise DomainError("a measure needs at least one atom")
         for loc, mass in pairs:
+            if not math.isfinite(loc):
+                raise DomainError(f"atom location {loc} is not finite")
             if not mass > 0:
                 raise DomainError(f"atom at {loc} has nonpositive mass {mass}")
         locs = [loc for loc, _ in pairs]
@@ -131,10 +133,12 @@ def levy_atoms(terms: int) -> AtomicMeasure:
 def self_energy_eval(z: float, pole_guard: float = POLE_GUARD) -> float:
     """The self-energy z^2 tan(1/z) - z; odd in z.
 
-    Rejects z = 0 and points whose reciprocal falls within pole_guard of
-    an odd multiple of pi/2, where tan blows up.
+    Rejects non-finite z, z = 0 and points whose reciprocal falls within
+    pole_guard of an odd multiple of pi/2, where tan blows up.
     """
     z = float(z)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     if z == 0.0:
         raise DomainError("self-energy is not defined at z = 0")
     w = 1.0 / z
@@ -151,11 +155,13 @@ def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> fl
     """Partial sum of the jump-measure expansion of the self-energy.
 
     Sums 32 z / ((n^2 pi^2 z^2 - 4) n^2 pi^2) over odd n up to `terms`,
-    smallest summands first.  Rejects z within atom_guard of any atom
-    +-2/(n pi), where a summand blows up.  Odd in z, exactly so in
-    binary64.
+    smallest summands first.  Rejects non-finite z and z within
+    atom_guard of any atom +-2/(n pi), where a summand blows up.  Odd in
+    z, exactly so in binary64.
     """
     z = float(z)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     if terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
     if z == 0.0:

@@ -6,8 +6,8 @@ c (I - P_n) for a constant c of its weights, so both take all orders from
 _centred_cumulants, which cross-checks itself against one pass of the
 generic quadratic-form engine for n <= 4 (orders <= 4).  The shifted sum
 of squares is s + sum_i Y_i with Boolean independent Y_i = X_i^2 + 2 a_i X_i,
-so its cumulants add over one-variable oracle calls and take the scalar s
-by the shift rule.
+so its cumulants add over the one-variable moment recursion of each Y_i
+and take the scalar s by the shift rule.
 """
 
 import math
@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .cumulants import (
     CumulantSequence,
-    NCPolynomial,
-    element_cumulants,
+    cumulants_from_moments,
+    moments_from_cumulants,
     shifted_cumulants,
 )
 from .errors import DomainError, checked_make
@@ -53,20 +53,15 @@ class ShiftVector(namedtuple("ShiftVector", "shifts")):
     __slots__ = ()
     _make = classmethod(checked_make)
 
-    def __new__(cls, shifts, s=None):
+    def __new__(cls, shifts):
         sh = tuple(Fraction(x) for x in shifts)
         if not sh:
             raise DomainError("need at least one shift")
-        self = super().__new__(cls, sh)
-        if s is not None and Fraction(s) != self.s:
-            raise DomainError(f"given sum of squares {s} != computed {self.s}")
-        return self
+        return super().__new__(cls, sh)
 
     @property
     def s(self) -> Fraction:
         return sum((x * x for x in self.shifts), Fraction(0))
-
-    sum_squares = s
 
 
 def _centred_cumulants(n: int, c, seq: CumulantSequence, order: int) -> list:
@@ -139,15 +134,28 @@ def shifted_sos_cumulants(shifts: ShiftVector, family, order: int) -> list:
     """K_1, ..., K_order of sum_i (X_i + a_i)^2 = s + sum_i Y_i.
 
     No unit enters Y_i = X_i^2 + 2 a_i X_i, so the Y_i are Boolean
-    independent and their cumulants add; each comes from element_cumulants
-    of its one-variable polynomial, whose power m has at most m + 1 words,
-    and the sum of squares s enters by shifted_cumulants.
+    independent and their cumulants add, and the sum of squares s enters
+    by shifted_cumulants.  X_i commutes with itself, so
+    phi(Y_i^m) = sum_j C(m, j) (2 a_i)^(m-j) mu_(m+j) from the moments
+    mu_0, ..., mu_(2 order) of X_i, computed once per distinct sequence.
     """
-    ks = [
-        element_cumulants(NCPolynomial([(1, (i, i)), (2 * a, (i,))]), family, order).values
-        for i, a in enumerate(shifts.shifts, start=1)
-    ]
-    return list(shifted_cumulants(CumulantSequence(map(sum, zip(*ks))), shifts.s, order).values)
+    if order < 1:
+        raise DomainError(f"cumulant order must be positive, got {order}")
+    moments, total = {}, [0] * order
+    for i, a in enumerate(shifts.shifts, start=1):
+        if i not in family:
+            raise DomainError(f"no cumulant sequence for variable {i}")
+        seq = family[i]
+        if seq not in moments:
+            _check_iid_order(seq, order)
+            moments[seq] = [1, *moments_from_cumulants(seq, 2 * order)]
+        mu = moments[seq]
+        ys = [
+            sum(math.comb(m, j) * (2 * a) ** (m - j) * mu[m + j] for j in range(m + 1))
+            for m in range(1, order + 1)
+        ]
+        total = [t + k for t, k in zip(total, cumulants_from_moments(ys).values)]
+    return list(shifted_cumulants(CumulantSequence(total), shifts.s, order).values)
 
 
 def shifted_sos_cumulant(shifts: ShiftVector, family, r: int):

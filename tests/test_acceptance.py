@@ -257,7 +257,7 @@ def test_criterion_07_shift_invariance_and_compact_formula():
     family = constant_family(gaussian_sequence(0, 1, 8), 3)
     first = ShiftVector((3, 4, 0))
     second = ShiftVector((5, 0, 0))
-    assert first.sum_squares == second.sum_squares == 25
+    assert first.s == second.s == 25
     vals_first = [shifted_sos_cumulant(first, family, r) for r in range(1, 5)]
     vals_second = [shifted_sos_cumulant(second, family, r) for r in range(1, 5)]
     assert vals_first == vals_second

@@ -257,6 +257,23 @@ def test_nonpositive_order_is_an_error_before_the_preset(capsys, matrix_files):
                 assert err == f"error: order must be positive, got {order}\n"
 
 
+
+def test_a_short_preset_is_refused_alike(capsys, matrix_files):
+    # a custom preset keeps exactly its values: --order 3 needs cumulants
+    # through 6, and every command that reads 2 * --order of them names the
+    # shortfall in the same words
+    tail = ["--dist", "custom:1,2,3,5", "--order", "3"]
+    for argv in (
+        ["cumulants", "qf", "--matrix", matrix_files["a3"]],
+        ["cumulants", "oracle-check", "--n", "2"],
+        ["stats", "sample-variance", "--n", "3"],
+        ["stats", "shifted-sos", "--shifts", "3,4,0"],
+        ["stats", "symmetrized", "--weights=1,0,-1"],
+    ):
+        code, out, err = invoke(capsys, argv + tail)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: order 3 needs cumulants through 6, have 4\n", argv
+
 def test_cumulants_convert_both_directions(capsys):
     code, payload = invoke_json(
         capsys, ["cumulants", "convert", "--moments", "1,2,3"]

@@ -136,6 +136,11 @@ def test_hermitian_validation():
     assert "(1,2)" in str(exc.value) and "(2,1)" in str(exc.value)
     with pytest.raises(HermitianError):
         HermitianMatrix([[GaussianRational(0, 1)]])  # imaginary diagonal
+    # an (re, im) pair may be a list as well as a tuple
+    pairs = [[1, [0, F(1, 2)]], [[0, F(-1, 2)], 2]]
+    assert HermitianMatrix(pairs) == HermitianMatrix([[1, (0, F(1, 2))], [(0, F(-1, 2)), 2]])
+    with pytest.raises(HermitianError):
+        HermitianMatrix([[[0, 1]]])
     with pytest.raises(DomainError):
         HermitianMatrix([[0, 1]])
     with pytest.raises(DomainError):
@@ -313,6 +318,11 @@ ANTI2 = HermitianMatrix([[0, 1], [1, 0]])
         pytest.param(
             lambda: HermitianMatrix([[(1, 0, 0)]]),
             DomainError, "row 1 has a 3-part entry, expected (re, im)", id="three-part-entry",
+        ),
+        pytest.param(  # a list is an (re, im) entry like a tuple
+            lambda: HermitianMatrix([[1, 2], [2, [1, 0, 0]]]),
+            DomainError, "row 2 has a 3-part entry, expected (re, im)",
+            id="three-part-list-entry",
         ),
     ],
 )

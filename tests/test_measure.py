@@ -191,6 +191,25 @@ def test_levy_partial_sum_guards():
         levy_partial_sum(near, 9, atom_guard=1e-3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_floats_are_refused(bad):
+    # NaN fails every comparison and inf passes the ordering checks, so each
+    # is refused by name rather than left to round() or a silent nan
+    calls = [
+        (lambda: AtomicMeasure([(bad, 0.5)]), f"atom location {bad} is not finite"),
+        (
+            lambda: AtomicMeasure([(0.0, 0.25), (bad, 0.25)]),
+            f"atom location {bad} is not finite",
+        ),
+        (lambda: self_energy_eval(bad), f"z must be finite, got {bad}"),
+        (lambda: levy_partial_sum(bad, 3), f"z must be finite, got {bad}"),
+    ]
+    for call, text in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (DomainError, text)
+
+
 def test_moment_consistency_rows():
     rows = moment_consistency(tangent_atoms(100), 4)
     assert [r.m for r in rows] == [0, 1, 2, 3, 4]

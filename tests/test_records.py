@@ -44,7 +44,7 @@ BUILDERS = {
         HermitianMatrix([[1, 0], [0, 0]]), HermitianMatrix([[0, 0], [0, 1]])
     ),
     LinearFormSpec: lambda: LinearFormSpec([1, F(-1, 2), F(-1, 2)]),
-    ShiftVector: lambda: ShiftVector([3, 4], 25),
+    ShiftVector: lambda: ShiftVector([3, 4]),
     AtomicMeasure: lambda: AtomicMeasure([(-1, 0.25), (0, 0.5), (1, 0.25)]),
     MomentRow: lambda: MomentRow(2, 0.5, 0.5, 0.0),
     ConvergenceRow: lambda: ConvergenceRow(10, 2, 0.25, 0.5, 0.25),
