@@ -2,8 +2,8 @@
 
 Subpackages, one concern each:
 
-- partitions: interval partitions of {1..n}, refinement, joins and
-  matchings; it serves the `partitions` listing and the oracles alone.
+- partitions: interval partitions of {1..n} as cut sets and the doubling
+  lift; it serves the `partitions` listing and the oracles alone.
 - cumulants: moment/cumulant conversion, word moments under Boolean
   independence, the brute-force polynomial oracle, mixed and product
   cumulants, scalar shifts, distribution presets.

@@ -239,7 +239,8 @@ class ZeroSumReport(
     """Equivalent zero-row-sum diagnostics, plus the diagonal flag.
 
     The first three fields are mathematically equivalent for self-adjoint
-    matrices and their agreement is asserted on construction; the
+    matrices; zero_sum_checks, which computes them, raises AssertionError
+    if they disagree, and the record itself checks nothing.  The
     constant_diagonal flag is independent information.
     """
 
@@ -282,12 +283,6 @@ class QFCumulantReport(namedtuple("QFCumulantReport", "order value matrix seq"))
         from .oracles import _partition_shares
 
         return _partition_shares(self.matrix, self.seq, self.order)
-
-    def contribution(self, pi):
-        for p, value in self.contributions:
-            if p == pi:
-                return value
-        raise DomainError(f"partition {pi} is not over {self.order + 1} points")
 
 
 def _integer_cumulants(rows):

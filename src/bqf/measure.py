@@ -134,7 +134,10 @@ def self_energy_eval(z: float, pole_guard: float = POLE_GUARD) -> float:
     """The self-energy z^2 tan(1/z) - z; odd in z.
 
     Rejects non-finite z, z = 0 and points whose reciprocal falls within
-    pole_guard of an odd multiple of pi/2, where tan blows up.
+    pole_guard of an odd multiple of pi/2, where tan blows up.  It also
+    rejects z so small that the floats near 1/z are spaced more than
+    pole_guard apart (|z| below about 1.2e-10 at the default guard, and
+    1/z = inf): the float 1/z cannot then be placed against the poles.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -142,6 +145,11 @@ def self_energy_eval(z: float, pole_guard: float = POLE_GUARD) -> float:
     if z == 0.0:
         raise DomainError("self-energy is not defined at z = 0")
     w = 1.0 / z
+    if math.isinf(w) or math.ulp(w) > pole_guard > 0:
+        raise DomainError(
+            f"1/z = {w} cannot be placed against the tan poles: floats "
+            f"there are {math.ulp(w)} apart, more than pole_guard = {pole_guard}"
+        )
     m = round(w / math.pi - 0.5)
     pole = (2 * m + 1) * math.pi / 2
     if abs(w - pole) < pole_guard:
@@ -158,6 +166,11 @@ def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> fl
     smallest summands first.  Rejects non-finite z and z within
     atom_guard of any atom +-2/(n pi), where a summand blows up.  Odd in
     z, exactly so in binary64.
+
+    Near |z| the atoms are less than pi z^2 / (1 - pi |z|) apart, so once
+    that falls below 2 atom_guard (|z| below about 2.5e-5 at the default
+    guard) every such z is within atom_guard of an atom and is rejected
+    without locating it.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -166,13 +179,20 @@ def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> fl
         raise DomainError(f"need at least one term, got {terms}")
     if z == 0.0:
         return 0.0
-    near = 2.0 / (math.pi * abs(z))
-    candidate = max(1, 2 * round((near - 1) / 2) + 1)
-    for n in (candidate - 2, candidate, candidate + 2):
-        if n >= 1 and abs(abs(z) - 2.0 / (n * math.pi)) < atom_guard:
+    # a guard <= 0 rejects nothing, and locating a subnormal z overflows
+    if atom_guard > 0:
+        if math.pi * z * z < 2.0 * atom_guard * (1.0 - math.pi * abs(z)):
             raise AtomProximityError(
-                f"|z| = {abs(z)} is within {atom_guard} of the atom 2/({n} pi)"
+                f"|z| = {abs(z)} is within {atom_guard} of an atom 2/(n pi): "
+                f"the atoms there are less than {2 * atom_guard} apart"
             )
+        near = 2.0 / (math.pi * abs(z))
+        candidate = max(1, 2 * round((near - 1) / 2) + 1)
+        for n in (candidate - 2, candidate, candidate + 2):
+            if n >= 1 and abs(abs(z) - 2.0 / (n * math.pi)) < atom_guard:
+                raise AtomProximityError(
+                    f"|z| = {abs(z)} is within {atom_guard} of the atom 2/({n} pi)"
+                )
     top = terms if terms % 2 else terms - 1
     pi2 = math.pi * math.pi
     z2 = z * z

@@ -5,7 +5,8 @@ determines a partition of {1, ..., n} into consecutive blocks and every
 interval partition arises this way.  The lattice structure then turns into
 set algebra on cut sets: refinement is containment of cut sets, the join
 of two partitions cuts where both do, and the join is the one-block
-partition exactly when the cut sets are disjoint.
+partition exactly when the cut sets are disjoint; callers write these
+as set expressions on `cuts`.
 """
 
 from collections import namedtuple
@@ -46,22 +47,8 @@ class IntervalPartition(namedtuple("IntervalPartition", "n cuts")):
     def num_blocks(self) -> int:
         return len(self.cuts) + 1
 
-    @property
-    def singleton_count(self) -> int:
-        return sum(1 for s in self.block_sizes() if s == 1)
-
     def __str__(self):
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks())
-
-
-def top_partition(n: int) -> IntervalPartition:
-    """The one-block partition (no cuts)."""
-    return IntervalPartition(n, ())
-
-
-def singleton_partition(n: int) -> IntervalPartition:
-    """The all-singletons partition (every cut present)."""
-    return IntervalPartition(n, range(1, n))
 
 
 def enumerate_interval(n: int) -> list:
@@ -80,58 +67,17 @@ def enumerate_interval(n: int) -> list:
     return out
 
 
-def _check_same_ground(pi: IntervalPartition, rho: IntervalPartition):
-    if pi.n != rho.n:
-        raise DomainError(f"ground set sizes differ: {pi.n} vs {rho.n}")
-
-
-def refines(pi: IntervalPartition, rho: IntervalPartition) -> bool:
-    """Whether every block of pi sits inside a block of rho."""
-    _check_same_ground(pi, rho)
-    return rho.cuts <= pi.cuts
-
-
-def join_is_top(pi: IntervalPartition, rho: IntervalPartition) -> bool:
-    """Whether the lattice join of pi and rho is the one-block partition.
-
-    The join cuts exactly where both partitions cut, so this is disjointness
-    of the cut sets.
-    """
-    _check_same_ground(pi, rho)
-    return not (pi.cuts & rho.cuts)
-
-
-def standard_matching(r: int) -> IntervalPartition:
-    """The pair partition (1,2)(3,4)...(2r-1,2r) of {1, ..., 2r}."""
-    if r < 1:
-        raise DomainError(f"pair count must be positive, got {r}")
-    return IntervalPartition(2 * r, range(2, 2 * r, 2))
-
-
 def lift_matching(pi: IntervalPartition) -> IntervalPartition:
     """Send a partition of {1, ..., r+1} to one of {1, ..., 2r}.
 
     Each cut c becomes the odd cut 2c-1.  This is the inverse of the
-    bijection between partitions whose join with the standard matching is
-    the one-block partition and interval partitions of a ground set half
-    the size plus one.  Edge blocks of size s lift to size 2s-1, interior
-    blocks to size 2s.
+    bijection between partitions whose join with the standard matching
+    (1,2)(3,4)...(2r-1,2r), cut at the even positions, is the one-block
+    partition and interval partitions of a ground set half the size plus
+    one.  Edge blocks of size s lift to size 2s-1, interior blocks to
+    size 2s.
     """
     r = pi.n - 1
     if r < 1:
         raise DomainError("lifting needs a ground set of size at least 2")
     return IntervalPartition(2 * r, (2 * c - 1 for c in pi.cuts))
-
-
-def kernel_refines(indices, pi: IntervalPartition) -> bool:
-    """Whether the tuple of indices is constant on every block of pi."""
-    indices = tuple(indices)
-    if len(indices) != pi.n:
-        raise DomainError(
-            f"index tuple length {len(indices)} does not match ground set {pi.n}"
-        )
-    # Constant on blocks means: equal across every non-cut adjacency.
-    return all(
-        indices[p - 1] == indices[p] for p in range(1, pi.n) if p not in pi.cuts
-    )
-

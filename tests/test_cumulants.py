@@ -31,7 +31,8 @@ from bqf.cumulants import (
     word_moment,
 )
 from bqf.errors import DomainError, ExpansionCapError, OrderShortfallError
-from bqf.partitions import enumerate_interval, kernel_refines
+from bqf.partitions import enumerate_interval
+from bqf.series import FormalSeries, series_ratio
 from bqf.stats import ShiftVector, kagan_closed_form, shifted_sos_cumulant
 
 
@@ -46,7 +47,7 @@ def direct_word_moment(word, family):
     blocks carry a constant variable index."""
     total = F(0)
     for pi in enumerate_interval(len(word)):
-        if not kernel_refines(word, pi):
+        if any(len({word[i - 1] for i in block}) > 1 for block in pi.blocks()):
             continue
         prod = F(1)
         for block in pi.blocks():
@@ -268,6 +269,23 @@ def test_moment_cumulant_round_trip_property(values):
     assert cumulants_from_moments(moments).values == tuple(values)
     kappa = cumulants_from_moments(values)
     assert moments_from_cumulants(kappa, order) == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=12
+    )
+)
+def test_series_ratio_is_the_moment_recursion_property(values):
+    # the two routes for the Boolean transform M = 1/(1 - K):
+    # measure.moment_consistency takes the series ratio, the rest of the
+    # library the convolution recursion
+    order = len(values)
+    one = FormalSeries([F(1)] + [F(0)] * order)
+    den = FormalSeries([F(1)] + [-k for k in values])
+    moments = moments_from_cumulants(CumulantSequence(values), order)
+    assert series_ratio(one, den, order).coeffs == (F(1), *moments)
 
 
 def test_element_cumulants_cap():

@@ -25,6 +25,8 @@ from bqf.matrices import (
     qf_cumulant_iid,
 )
 from bqf.measure import (
+    ATOM_GUARD,
+    POLE_GUARD,
     AtomicMeasure,
     _p_series_target,
     levy_atoms,
@@ -208,6 +210,33 @@ def test_non_finite_floats_are_refused(bad):
         with pytest.raises(DomainError) as exc:
             call()
         assert (type(exc.value), str(exc.value)) == (DomainError, text)
+
+
+def test_tiny_z_is_refused_for_a_true_reason():
+    # Past 1/z = 2^33 neighbouring floats are 2^-19 > POLE_GUARD apart, so no
+    # float test can place 1/z against the poles; 1/z = inf is refused alike.
+    # One float above z = 2^-33 they are 2^-20 apart and z is evaluated.
+    for z in (1e-320, -5e-324, 2.0**-33):
+        with pytest.raises(DomainError, match="cannot be placed against") as exc:
+            self_energy_eval(z)
+        assert type(exc.value) is DomainError
+    z = math.nextafter(2.0**-33, 1.0)
+    assert math.ulp(1 / z) < POLE_GUARD
+    assert self_energy_eval(z) == pytest.approx(-z, rel=1e-9)
+
+    # Near |z| the atoms 2/(n pi) are less than pi z^2 / (1 - pi |z|) apart.
+    # The gap after n = 25229 is wider than 2 ATOM_GUARD, so its midpoint is
+    # summed; the gap after n = 25233 is narrower, so its midpoint is refused
+    # by that bound alone, as are subnormal z.
+    def gap_midpoint(n):
+        return (2 / (n * math.pi) + 2 / ((n + 2) * math.pi)) / 2
+
+    wide, narrow = gap_midpoint(25229), gap_midpoint(25233)
+    assert 4 / (25229 * 25231 * math.pi) > 2 * ATOM_GUARD > 4 / (25233 * 25235 * math.pi)
+    assert levy_partial_sum(wide, 3) == -levy_partial_sum(-wide, 3) != 0.0
+    for z in (1e-320, -5e-324, narrow):
+        with pytest.raises(AtomProximityError, match="less than 2e-09 apart"):
+            levy_partial_sum(z, 3)
 
 
 def test_moment_consistency_rows():

@@ -307,7 +307,8 @@ def partition_sum_kagan(s, r):
     total = F(0)
     for pi in enumerate_interval(r + 1):
         lifted = lift_matching(pi)
-        total += F(s) ** (r + lifted.singleton_count - lifted.num_blocks)
+        singletons = lifted.block_sizes().count(1)
+        total += F(s) ** (r + singletons - lifted.num_blocks)
     return total
 
 
