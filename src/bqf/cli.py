@@ -19,6 +19,7 @@ errors.
 """
 
 import argparse
+import io
 import os
 import sys
 from collections import namedtuple
@@ -194,7 +195,11 @@ def _emit(args, payload: dict, header=None, rows=None):
     """Print payload as JSON, or the (header, rows) table as CSV/plain."""
     out = sys.stdout
     if args.format == "json":
-        out.write(_json(payload) + "\n")
+        # in pieces: one large write to a pipe whose reader leaves midway
+        # can stop short without raising, and the text layer drops the count
+        text, step = _json(payload) + "\n", io.DEFAULT_BUFFER_SIZE
+        for start in range(0, len(text), step):
+            out.write(text[start : start + step])
         return
     if header is None:
         header = ("key", "value")

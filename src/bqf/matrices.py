@@ -14,9 +14,7 @@ partitions are compositions, so the sum is a dynamic programme over block
 ends whose row vectors do not depend on the order: one chain of R matvecs
 yields K_1, ..., K_R, and a single-order call totals only its own order.
 The cumulants enter as integers scaled once per call, with no rational
-arithmetic per variable.  The oracles the tests check it against, the
-per-partition enumeration behind QFCumulantReport.contributions and the
-projector-closure route qf_cumulant_hadamard, are in bqf.oracles.
+arithmetic per variable.
 
 A HermitianMatrix stores its columns as integer (re, im) grids over one
 denominator, the lcm of its entries' denominators.  All trace functionals
@@ -25,7 +23,9 @@ iteration on those grids: one row-vector product (_matvec) and the powers
 1^T A^k (_powers).  No matrix power is formed, one Fraction is built per
 result, and every chain here runs on this kernel, _qf_dp included.
 Matrices are read and written as (re, im) pairs of rationals; the
-entrywise view HermitianMatrix.entries is built for the oracles alone.
+entrywise view HermitianMatrix.entries is built for bqf.oracles alone, the
+home of the routes the tests check the engine against (partition_shares,
+the per-partition enumeration, and qf_cumulant_hadamard).
 """
 
 import json
@@ -263,26 +263,10 @@ def zero_sum_checks(a: HermitianMatrix) -> ZeroSumReport:
     return ZeroSumReport(row_sums_zero, ja2_zero, upto, constant)
 
 
-# Per-partition enumeration visits 2^r partitions; QFCumulantReport
-# refuses to list them above this order.
-CONTRIBUTIONS_MAX_ORDER = 12
+class QFCumulantReport(namedtuple("QFCumulantReport", "order value")):
+    """One quadratic-form cumulant: its order r and its real value K_r."""
 
-
-class QFCumulantReport(namedtuple("QFCumulantReport", "order value matrix seq")):
-    """One quadratic-form cumulant with its per-partition breakdown.
-
-    value is the real total, from the composition DP.  contributions
-    pairs each interval partition of {1, ..., r+1} with its (possibly
-    non-real) share; the shares sum to the total.  They come from the
-    per-partition enumeration oracle, run on first access and only up to
-    order CONTRIBUTIONS_MAX_ORDER (above it, DomainError).
-    """
-
-    @cached_property
-    def contributions(self) -> tuple:
-        from .oracles import _partition_shares
-
-        return _partition_shares(self.matrix, self.seq, self.order)
+    __slots__ = ()
 
 
 def _integer_cumulants(rows):
@@ -402,11 +386,10 @@ def qf_cumulant_iid(a: HermitianMatrix, seq, r: int) -> QFCumulantReport:
     """K_r of T = sum a_{jk} X_j X_k for one shared cumulant sequence.
 
     The value comes from the composition DP (_qf_dp), which totals only
-    order r; the report's per-partition contributions are left to the
-    enumeration oracle.
+    order r.
     """
     (value,) = _iid_dp(a, seq, r, r)
-    return QFCumulantReport(r, value, a, seq)
+    return QFCumulantReport(r, value)
 
 
 def _general_dp(a: HermitianMatrix, family, r: int, first: int) -> list:

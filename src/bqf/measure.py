@@ -15,6 +15,10 @@ any n; the convergence model's K_r is Tr(P S^r) with S = M - (a/n)I, a
 binomial sum of those traces.  Both are exact for every n and rounded once.
 The zeta targets are p-series partial sums taken exactly, by Euler-Maclaurin
 with a proven remainder bound, and correctly rounded.
+
+self_energy_eval and levy_partial_sum refuse points within the constants
+POLE_GUARD of a tan pole and ATOM_GUARD of an atom; the pole distance is
+decided on rationals.
 """
 
 import math
@@ -35,6 +39,9 @@ from .series import (
 
 POLE_GUARD = 1e-6
 ATOM_GUARD = 1e-9
+# math.pi < pi < math.pi + 2**-52
+_PI_BELOW = Fraction(math.pi)
+_PI_ABOVE = _PI_BELOW + Fraction(1, 2**52)
 
 
 class AtomicMeasure(namedtuple("AtomicMeasure", "atoms")):
@@ -130,14 +137,16 @@ def levy_atoms(terms: int) -> AtomicMeasure:
     return AtomicMeasure(entries)
 
 
-def self_energy_eval(z: float, pole_guard: float = POLE_GUARD) -> float:
+def self_energy_eval(z: float) -> float:
     """The self-energy z^2 tan(1/z) - z; odd in z.
 
     Rejects non-finite z, z = 0 and points whose reciprocal falls within
-    pole_guard of an odd multiple of pi/2, where tan blows up.  It also
-    rejects z so small that the floats near 1/z are spaced more than
-    pole_guard apart (|z| below about 1.2e-10 at the default guard, and
-    1/z = inf): the float 1/z cannot then be placed against the poles.
+    POLE_GUARD of an odd multiple of pi/2, where tan blows up.  The distance
+    is decided on rationals: 1/z exactly, against each pole in the interval
+    that math.pi < pi < math.pi + 2**-52 puts it in.  Where that interval
+    reaches both sides of the guard, and where the floats near 1/z are
+    spaced more than POLE_GUARD apart (|z| below about 1.2e-10, and
+    1/z = inf), 1/z cannot be placed against the poles: DomainError.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -145,32 +154,40 @@ def self_energy_eval(z: float, pole_guard: float = POLE_GUARD) -> float:
     if z == 0.0:
         raise DomainError("self-energy is not defined at z = 0")
     w = 1.0 / z
-    if math.isinf(w) or math.ulp(w) > pole_guard > 0:
+    if math.isinf(w) or math.ulp(w) > POLE_GUARD:
         raise DomainError(
             f"1/z = {w} cannot be placed against the tan poles: floats "
-            f"there are {math.ulp(w)} apart, more than pole_guard = {pole_guard}"
+            f"there are {math.ulp(w)} apart, more than POLE_GUARD = {POLE_GUARD}"
         )
+    # the nearest pole, or one about pi/2 away when every pole is that far
     m = round(w / math.pi - 0.5)
     pole = (2 * m + 1) * math.pi / 2
-    if abs(w - pole) < pole_guard:
+    exact, guard = 1 / Fraction(z), Fraction(POLE_GUARD)
+    low, high = sorted(Fraction(2 * m + 1, 2) * p for p in (_PI_BELOW, _PI_ABOVE))
+    if max(exact - low, high - exact) < guard:
         raise PoleProximityError(
-            f"1/z = {w} is within {pole_guard} of the tan pole at {pole}"
+            f"1/z = {w} is within {POLE_GUARD} of the tan pole at {pole}"
+        )
+    if max(low - exact, exact - high) < guard:
+        raise DomainError(
+            f"1/z = {w} cannot be placed against the tan pole at {pole}: it is "
+            f"within {POLE_GUARD} of it for some pi in (math.pi, math.pi + 2**-52) "
+            "and not for others"
         )
     return z * z * math.tan(w) - z
 
 
-def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> float:
+def levy_partial_sum(z: float, terms: int) -> float:
     """Partial sum of the jump-measure expansion of the self-energy.
 
     Sums 32 z / ((n^2 pi^2 z^2 - 4) n^2 pi^2) over odd n up to `terms`,
     smallest summands first.  Rejects non-finite z and z within
-    atom_guard of any atom +-2/(n pi), where a summand blows up.  Odd in
+    ATOM_GUARD of any atom +-2/(n pi), where a summand blows up.  Odd in
     z, exactly so in binary64.
 
     Near |z| the atoms are less than pi z^2 / (1 - pi |z|) apart, so once
-    that falls below 2 atom_guard (|z| below about 2.5e-5 at the default
-    guard) every such z is within atom_guard of an atom and is rejected
-    without locating it.
+    that falls below 2 ATOM_GUARD (|z| below about 2.5e-5) every such z is
+    within ATOM_GUARD of an atom and is rejected without locating it.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -179,20 +196,19 @@ def levy_partial_sum(z: float, terms: int, atom_guard: float = ATOM_GUARD) -> fl
         raise DomainError(f"need at least one term, got {terms}")
     if z == 0.0:
         return 0.0
-    # a guard <= 0 rejects nothing, and locating a subnormal z overflows
-    if atom_guard > 0:
-        if math.pi * z * z < 2.0 * atom_guard * (1.0 - math.pi * abs(z)):
+    # refused before locating, which overflows for subnormal z
+    if math.pi * z * z < 2.0 * ATOM_GUARD * (1.0 - math.pi * abs(z)):
+        raise AtomProximityError(
+            f"|z| = {abs(z)} is within {ATOM_GUARD} of an atom 2/(n pi): "
+            f"the atoms there are less than {2 * ATOM_GUARD} apart"
+        )
+    near = 2.0 / (math.pi * abs(z))
+    candidate = max(1, 2 * round((near - 1) / 2) + 1)
+    for n in (candidate - 2, candidate, candidate + 2):
+        if n >= 1 and abs(abs(z) - 2.0 / (n * math.pi)) < ATOM_GUARD:
             raise AtomProximityError(
-                f"|z| = {abs(z)} is within {atom_guard} of an atom 2/(n pi): "
-                f"the atoms there are less than {2 * atom_guard} apart"
+                f"|z| = {abs(z)} is within {ATOM_GUARD} of the atom 2/({n} pi)"
             )
-        near = 2.0 / (math.pi * abs(z))
-        candidate = max(1, 2 * round((near - 1) / 2) + 1)
-        for n in (candidate - 2, candidate, candidate + 2):
-            if n >= 1 and abs(abs(z) - 2.0 / (n * math.pi)) < atom_guard:
-                raise AtomProximityError(
-                    f"|z| = {abs(z)} is within {atom_guard} of the atom 2/({n} pi)"
-                )
     top = terms if terms % 2 else terms - 1
     pi2 = math.pi * math.pi
     z2 = z * z

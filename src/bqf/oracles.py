@@ -1,10 +1,10 @@
 """The independent routes the tests check the production code against.
 
 No production path and no CLI subcommand imports this module; only
-HermitianMatrix.entries and QFCumulantReport.contributions reach it, on
-first access.  It holds GaussianRational, the entry type of that view; the
-per-partition enumeration (_partition_shares) and the projector-closure
-route (qf_cumulant_hadamard) of the quadratic-form cumulants; the probes
+HermitianMatrix.entries reaches it, on first access.  It holds
+GaussianRational, the entry type of that view; the per-partition
+enumeration (partition_shares) and the projector-closure route
+(qf_cumulant_hadamard) of the quadratic-form cumulants; the probes
 poisson_qf_check and lemma25_probe; and the tangent polynomials, the
 oracle of series.limit_h_series.
 """
@@ -16,7 +16,6 @@ from operator import mul
 
 from .errors import DomainError, checked_make
 from .matrices import (
-    CONTRIBUTIONS_MAX_ORDER,
     HermitianMatrix,
     _check_iid_order,
     _dot,
@@ -26,6 +25,10 @@ from .matrices import (
 )
 from .partitions import enumerate_interval, lift_matching
 from .series import elementary_series
+
+# partition_shares visits 2^r partitions; it refuses to list them above
+# this order.
+CONTRIBUTIONS_MAX_ORDER = 12
 
 
 class GaussianRational(namedtuple("GaussianRational", "re im")):
@@ -91,15 +94,17 @@ def _lifted_cumulant_weight(seq, pi):
     return weight
 
 
-def _partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
-    """The share of every interval partition of {1, ..., r+1}.
+def partition_shares(a: HermitianMatrix, seq, r: int) -> tuple:
+    """Each interval partition of {1, ..., r+1} paired with its (possibly
+    non-real) share of K_r; the shares sum to qf_cumulant_iid's value.
 
     Per partition, the constant-on-blocks entry-product sum is the chain
     1^T D_1 A D_2 A ... A D_p 1 with D_m the diagonal of A raised
     entrywise to (block size m) - 1, times the lifted cumulant product.
     On the integer grids every chain is over den^r, since the block sizes
-    sum to r + 1.
+    sum to r + 1.  Refuses orders above CONTRIBUTIONS_MAX_ORDER.
     """
+    _check_iid_order(seq, r)
     if r > CONTRIBUTIONS_MAX_ORDER:
         raise DomainError(
             f"per-partition contributions stop at order {CONTRIBUTIONS_MAX_ORDER}; "

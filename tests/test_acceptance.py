@@ -53,7 +53,7 @@ from bqf.measure import (
     tangent_convergence,
     zeta_zigzag_approx,
 )
-from bqf.oracles import GaussianRational, qf_cumulant_hadamard
+from bqf.oracles import GaussianRational, partition_shares, qf_cumulant_hadamard
 from bqf.series import elementary_series, limit_mgf_series, tangent_numbers
 from bqf.stats import (
     LinearFormSpec,
@@ -180,7 +180,7 @@ def test_criterion_03_gaussian_singleton_trace_formula():
             a = HermitianMatrix(rows)
             for r in range(1, 7):
                 report = qf_cumulant_iid(a, seq, r)
-                nonzero = [share for _, share in report.contributions if share]
+                nonzero = [share for _, share in partition_shares(a, seq, r) if share]
                 assert len(nonzero) == 1
                 assert report.value == c * c * trace_J_power(a, r)
 

@@ -1178,19 +1178,25 @@ def test_no_subcommand_loads_the_oracles(tmp_path):
 
 def test_a_closed_reader_ends_the_child_quietly():
     # like `| head`: the reader goes away before the 0.8 MB of JSON, more
-    # than a pipe holds, is written; main() exits 1 and the interpreter's
-    # shutdown flush raises nothing
+    # than a pipe holds, is written, or after the first line of it, in each
+    # format; main() exits 1 and the interpreter's shutdown flush raises
+    # nothing
     path = [os.path.dirname(os.path.dirname(bqf.__file__)), os.environ.get("PYTHONPATH")]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bqf.cli", "measure", "atoms", "--pairs", "2000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    readers = [("json", 0)] + [(fmt, 1) for fmt in ("json", "csv", "plain")]
+    for fmt, lines in readers:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bqf.cli", "measure", "atoms", "--pairs", "2000",
+             "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (fmt, lines, proc.wait(timeout=60), err) == (fmt, lines, 1, b"")
 
 
 def test_cli_and_layers_import_neither_dataclasses_nor_inspect():

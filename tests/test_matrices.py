@@ -27,7 +27,6 @@ from bqf.cumulants import (
 )
 from bqf.errors import DomainError, HermitianError, OrderShortfallError
 from bqf.matrices import (
-    CONTRIBUTIONS_MAX_ORDER,
     HermitianMatrix,
     IndependenceResult,
     build_special,
@@ -50,8 +49,10 @@ from bqf.matrices import (
     zero_sum_checks,
 )
 from bqf.oracles import (
+    CONTRIBUTIONS_MAX_ORDER,
     GaussianRational,
     lemma25_probe,
+    partition_shares,
     poisson_qf_check,
     qf_cumulant_hadamard,
 )
@@ -254,11 +255,11 @@ def test_qf_cumulant_report_contributions():
     a = HermitianMatrix([[0, 1], [1, 0]])
     rep = qf_cumulant_iid(a, seq, 1)
     assert rep.value == 2
-    assert sum((c for _, c in rep.contributions), GaussianRational(0)) == (
+    assert sum((c for _, c in partition_shares(a, seq, 1)), GaussianRational(0)) == (
         GaussianRational(rep.value)
     )
     parts = enumerate_interval(2)
-    shares = dict(rep.contributions)
+    shares = dict(partition_shares(a, seq, 1))
     assert shares[parts[0]] == GaussianRational(0)  # trace term, Tr A = 0
     assert shares[parts[1]] == GaussianRational(2)
 
@@ -452,7 +453,7 @@ def hermitian_matrices(draw, max_n, complex_entries=True, min_n=1):
 def test_qf_dp_matches_enumeration_and_hadamard_property(a, r, values):
     seq = custom_sequence(values)
     rep = qf_cumulant_iid(a, seq, r)
-    shares = sum((c for _, c in rep.contributions), GaussianRational(0))
+    shares = sum((c for _, c in partition_shares(a, seq, r)), GaussianRational(0))
     assert shares == GaussianRational(rep.value)
     assert qf_cumulant_hadamard(a, seq, r) == rep.value
 
@@ -504,7 +505,7 @@ def test_one_pass_matches_single_orders_and_enumeration_property(data, a, order)
     values = qf_cumulants_iid(a, seq, order)
     assert values == [qf_cumulant_iid(a, seq, r).value for r in range(1, order + 1)]
     for r, value in enumerate(values, 1):
-        shares = qf_cumulant_iid(a, seq, r).contributions
+        shares = partition_shares(a, seq, r)
         assert sum((c for _, c in shares), GaussianRational(0)) == GaussianRational(value)
     assert qf_cumulants_general(a, constant_family(seq, a.n), order) == values
     fam = {i: data.draw(cumulant_sequences(2 * order)) for i in range(1, a.n + 1)}
@@ -619,7 +620,7 @@ def test_qf_value_never_enumerates_partitions(monkeypatch):
         rep = qf_cumulant_iid(a, seq, r)
         assert rep.value == qf_cumulant_general(a, constant_family(seq, 3), r)
     with pytest.raises(RuntimeError, match="enumerated 64 partitions"):
-        rep.contributions
+        partition_shares(a, seq, r)
 
 
 def test_integer_routes_never_build_gaussian_rationals(monkeypatch):
@@ -668,7 +669,7 @@ def test_qf_contributions_order_cap():
     rep = qf_cumulant_iid(a, seq, r)
     assert rep.value == 2 * F(1, 2) ** r
     with pytest.raises(DomainError, match="contributions"):
-        rep.contributions
+        partition_shares(a, seq, r)
 
 
 def test_qf_cumulant_order_32_at_n_50_centering_complement():

@@ -161,9 +161,6 @@ def test_self_energy_values():
         self_energy_eval(0.0)
     with pytest.raises(PoleProximityError):
         self_energy_eval(2 / math.pi)
-    # a custom guard widens the rejected window
-    with pytest.raises(PoleProximityError):
-        self_energy_eval(0.64, pole_guard=0.1)
     assert self_energy_eval(0.64) != 0.0
 
 
@@ -186,11 +183,9 @@ def test_levy_partial_sum_guards():
         levy_partial_sum(-2 / (3 * math.pi), 100)
     with pytest.raises(DomainError):
         levy_partial_sum(1.0, 0)
-    # widened guard rejects a point the default accepts
+    # a point 1e-6 from an atom is 1000 ATOM_GUARD away and is summed
     near = 2 / math.pi + 1e-6
     assert levy_partial_sum(near, 9) != 0.0
-    with pytest.raises(AtomProximityError):
-        levy_partial_sum(near, 9, atom_guard=1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
@@ -237,6 +232,41 @@ def test_tiny_z_is_refused_for_a_true_reason():
     for z in (1e-320, -5e-324, narrow):
         with pytest.raises(AtomProximityError, match="less than 2e-09 apart"):
             levy_partial_sum(z, 3)
+
+
+# pi to 40 digits, written out rather than read off math.pi
+PI_40 = F("3.141592653589793238462643383279502884197")
+
+
+def test_pole_refusals_are_true_for_large_reciprocals():
+    # 1/z within 3 POLE_GUARD of a pole (2m+1) pi / 2 in [2^20, 2^33), where
+    # the floats of 1/z, math.pi and (2m+1) math.pi / 2 each err by up to
+    # half the guard.  By the 40-digit pi: a refused z is within the guard,
+    # an evaluated one is not, and one that cannot be placed is nearer the
+    # guard than the width (2m+1) 2^-53 of the pole interval math.pi gives.
+    guard = F(POLE_GUARD)
+    offsets = (-2.5, -1.9, -1.5, -1.2, -1.05, -0.95, -0.5, 0, 0.5, 0.95, 1.05, 1.2, 1.5, 1.9, 2.5)
+    seen = {"refused": 0, "evaluated": 0, "unplaced": 0}
+    for k in range(20, 33):
+        for start in (1.1, 1.35, 1.6, 1.85):
+            m = round(start * 2**k / math.pi)
+            pole = (2 * m + 1) * PI_40 / 2
+            for offset in offsets:
+                z = float(1 / (pole + F(offset) * guard))
+                distance = abs(1 / F(z) - pole)
+                try:
+                    self_energy_eval(z)
+                except PoleProximityError:
+                    assert distance < guard, (z, float(distance))
+                    seen["refused"] += 1
+                except DomainError as exc:
+                    assert "cannot be placed against the tan pole at" in str(exc)
+                    assert abs(distance - guard) < F(2 * m + 1, 2**53), (z, float(distance))
+                    seen["unplaced"] += 1
+                else:
+                    assert distance >= guard, (z, float(distance))
+                    seen["evaluated"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_moment_consistency_rows():

@@ -94,6 +94,7 @@ REFUSED_REPLACEMENTS = [
      "entries (1,2) and (2,1) are not conjugate"),
     (HermitianMatrix, {"den": 0}, DomainError, "den must be a positive integer, got 0"),
     (HermitianMatrix, {"re": ((1, 1), (1,))}, DomainError, "row 2 has 1 entries, expected 2"),
+    (HermitianMatrix, {"im": ((0,),)}, DomainError, "im has 1 columns, expected 2"),
     (LinearFormSpec, {"weights": (1,)}, DomainError, "need at least two weights, got 1"),
     (ShiftVector, {"shifts": ()}, DomainError, "need at least one shift"),
     (AtomicMeasure, {"atoms": ((0.0, -1.0),)}, DomainError, "atom at 0.0 has nonpositive mass -1.0"),
